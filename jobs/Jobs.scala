@@ -3,59 +3,36 @@ package repro.jobs
 import org.apache.spark.sql.SparkSession
 import repro.exp._
 
-/** Shared spark-submit bootstrap for the table jobs. */
-object Jobs {
-  def session(app: String): SparkSession =
-    SparkSession.builder
+/** spark-submit --class repro.jobs.TableJob <jar> <II|III|IV|V|VI> — renders
+  * one evaluation table: II dataset statistics, III method comparison,
+  * IV ablation study, V LLM comparison, VI clustering methods.
+  */
+object TableJob {
+  private val tables: Seq[(String, SparkSession => String)] = Seq(
+    "II"  -> (s => TableII.render(TableII.run(s))),
+    "III" -> (s => TableIII.render(TableIII.run(s))),
+    "IV"  -> (s => TableIV.render(TableIV.run(s))),
+    "V"   -> (s => TableV.render(TableV.run(s))),
+    "VI"  -> (s => TableVI.render(TableVI.run(s))),
+  )
+
+  /** The renderer of the one table named in `args`. */
+  def table(args: Seq[String]): SparkSession => String =
+    tables.collectFirst { case (name, render) if args == Seq(name) => render }.getOrElse {
+      throw new IllegalArgumentException(
+        s"usage: TableJob <${tables.map(_._1).mkString("|")}>; got " +
+        (if (args.isEmpty) "no table name" else args.mkString("'", " ", "'")))
+    }
+
+  def main(args: Array[String]): Unit = {
+    val render = table(args.toSeq)
+    val spark = SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
-      .appName(app)
+      .appName(s"zeroed-table-${args(0)}")
       .config("spark.sql.shuffle.partitions",
               sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))
       .config("spark.sql.autoBroadcastJoinThreshold", -1)
       .getOrCreate()
-}
-
-/** spark-submit --class repro.jobs.TableII <jar> — dataset statistics. */
-object TableIIJob {
-  def main(args: Array[String]): Unit = {
-    val spark = Jobs.session("zeroed-table2")
-    println(TableII.render(TableII.run(spark)))
-    spark.stop()
-  }
-}
-
-/** spark-submit --class repro.jobs.TableIIIJob <jar> — method comparison. */
-object TableIIIJob {
-  def main(args: Array[String]): Unit = {
-    val spark = Jobs.session("zeroed-table3")
-    println(TableIII.render(TableIII.run(spark)))
-    spark.stop()
-  }
-}
-
-/** spark-submit --class repro.jobs.TableIVJob <jar> — ablation study. */
-object TableIVJob {
-  def main(args: Array[String]): Unit = {
-    val spark = Jobs.session("zeroed-table4")
-    println(TableIV.render(TableIV.run(spark)))
-    spark.stop()
-  }
-}
-
-/** spark-submit --class repro.jobs.TableVJob <jar> — LLM comparison. */
-object TableVJob {
-  def main(args: Array[String]): Unit = {
-    val spark = Jobs.session("zeroed-table5")
-    println(TableV.render(TableV.run(spark)))
-    spark.stop()
-  }
-}
-
-/** spark-submit --class repro.jobs.TableVIJob <jar> — clustering methods. */
-object TableVIJob {
-  def main(args: Array[String]): Unit = {
-    val spark = Jobs.session("zeroed-table6")
-    println(TableVI.render(TableVI.run(spark)))
-    spark.stop()
+    try println(render(spark)) finally spark.stop()
   }
 }

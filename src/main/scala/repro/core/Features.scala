@@ -13,11 +13,10 @@ final case class FeatureOpts(
     corrK: Int = 2,
     useCriteria: Boolean = true,
     useCorr: Boolean = true,
-    criteriaSampleSize: Int = 40,
 )
 
-/** The fitted per-dataset feature statistics (Section III-B), computed with
-  * Spark aggregations and broadcast for cell-level featurization:
+/** The fitted per-dataset feature statistics (Section III-B), counted in one
+  * Spark aggregation pass and broadcast for tuple-level featurization:
   *
   *  f_base(cell) = [valueFreq, vicinityFreq] ⊕ [patFreq L1..L3] ⊕ f_sem ⊕ f_cri
   *  Feat(cell)   = f_base(cell) ⊕ f_base(correlated cells of the same tuple)
@@ -100,13 +99,19 @@ final class FeatureModel(
   private val SemScale = 0.25
 
   /** The unified representation Feat(D[i,j]) = f_base ⊕ correlated f_base. */
-  def finalVec(attr: String, row: Map[String, String]): Array[Double] = {
+  def finalVec(attr: String, row: Map[String, String]): Array[Double] =
+    finalVec(attr, baseVec(_: String, row))
+
+  /** Feat(D[i,j]) assembled from the tuple's base vectors, `baseOf(attr)`:
+    * the one assembly behind the driver-side and the tuple-level paths.
+    */
+  def finalVec(attr: String, baseOf: String => Array[Double]): Array[Double] = {
     val out = new Array[Double](totalDim)
-    System.arraycopy(baseVec(attr, row), 0, out, 0, baseDim)
+    System.arraycopy(baseOf(attr), 0, out, 0, baseDim)
     if (corrBlocks > 0) {
       val others = corr.getOrElse(attr, Seq.empty).take(corrBlocks)
       others.zipWithIndex.foreach { case (q, b) =>
-        System.arraycopy(baseVec(q, row), 0, out, baseDim * (1 + b), baseDim)
+        System.arraycopy(baseOf(q), 0, out, baseDim * (1 + b), baseDim)
       }
     }
     out
@@ -115,46 +120,40 @@ final class FeatureModel(
 
 object FeatureModel {
 
-  /** Fit all statistics with Spark aggregations and reason the initial
+  private val CriteriaSampleSize = 40
+
+  /** Fit all statistics in one aggregation pass and reason the initial
     * criteria from a random tuple sample (metered LLM calls).
     */
   def fit(spark: SparkSession, ds: EDataset, corr: Map[String, Seq[String]],
           profile: LLMProfile, meter: TokenMeter, opts: FeatureOpts): FeatureModel = {
-    import spark.implicits._
     val attrs = ds.attrs
-    val cells = repro.data.CellTable.cells(ds.dirty, attrs).cache()
-    val n = ds.dirty.count()
-
-    val valueCounts = cells.groupBy("attr", "value").count()
-      .as[(String, String, Long)].collect()
-      .map { case (a, v, c) => (a, v) -> c }.toMap
-
-    val l1u = udf((v: String) => Patterns.l1(v))
-    val l2u = udf((v: String) => Patterns.l2(v))
-    val l3u = udf((v: String) => Patterns.l3(v))
-    val patCounts = cells.select($"attr", explode(array(
-        struct(lit(1).as("lvl"), l1u($"value").as("pat")),
-        struct(lit(2).as("lvl"), l2u($"value").as("pat")),
-        struct(lit(3).as("lvl"), l3u($"value").as("pat")))).as("lp"))
-      .select($"attr", $"lp.lvl".as("lvl"), $"lp.pat".as("pat"))
-      .groupBy("attr", "lvl", "pat").count()
-      .as[(String, Int, String, Long)].collect()
-      .map { case (a, l, p, c) => (a, l, p) -> c }.toMap
 
     // Co-occurrence counts only for the (attr, correlated attr) pairs the
     // vicinity feature reads.
     val pairs: Seq[(String, String)] =
       if (!opts.useCorr) Seq.empty
       else corr.toSeq.flatMap { case (a, qs) => qs.take(opts.corrK).map(a -> _) }
-    val coCounts: Map[(String, String, String, String), Long] =
-      if (pairs.isEmpty) Map.empty
-      else pairs.map { case (a, q) =>
-        ds.dirty.select(lit(a).as("attr"), col(a).as("value"),
-                        lit(q).as("other"), col(q).as("otherValue"))
-      }.reduce(_.unionAll(_))
-        .groupBy("attr", "value", "other", "otherValue").count()
-        .as[(String, String, String, String, Long)].collect()
-        .map { case (a, v, q, w, c) => (a, v, q, w) -> c }.toMap
+
+    // Every tuple emits the keys of all three maps, told apart by arity:
+    // (attr, value), (attr, level, pattern) per cell and
+    // (attr, value, other, otherValue) per pair; one countByValue counts them.
+    val counts = ds.dirty.rdd.flatMap[Product] { r =>
+      val row = attrs.map(a => a -> r.getAs[String](a)).toMap
+      attrs.flatMap { a =>
+        val v = row(a)
+        (a, v) +: Patterns.all(v).zipWithIndex.map { case (p, i) => (a, i + 1, p) }
+      } ++ pairs.map { case (a, q) => (a, row(a), q, row(q)) }
+    }.countByValue()
+    val valueCounts = counts.collect { case (k: (String, String) @unchecked, c) => k -> c }.toMap
+    val patCounts =
+      counts.collect { case (k: (String, Int, String) @unchecked, c) => k -> c }.toMap
+    val coCounts =
+      counts.collect { case (k: (String, String, String, String) @unchecked, c) => k -> c }.toMap
+    // Every tuple holds one value per attribute, so one attribute's counts sum to n.
+    val n = attrs.headOption.fold(ds.dirty.count()) { a =>
+      valueCounts.iterator.collect { case ((`a`, _), c) => c }.sum
+    }
 
     // Distribution analysis (the executed "analysis functions" of Fig. 5).
     val dists = attrs.map { a =>
@@ -172,44 +171,47 @@ object FeatureModel {
     }.toMap
 
     // Criteria reasoning from a deterministic random tuple sample.
-    val sampleRows = sampleTuples(ds, opts.criteriaSampleSize)
     val criteria: Map[String, Seq[Criterion]] =
       if (!opts.useCriteria) Map.empty
-      else attrs.map { a =>
-        val samples = sampleRows.map(r => Criteria.Sample(r.getOrElse(a, ""), r))
-        a -> SimLLM.reasonCriteria(profile, meter, ds.name, a, samples,
-                                   corr.getOrElse(a, Seq.empty).take(opts.corrK))
-      }.toMap
+      else {
+        val sampleRows = sampleTuples(ds, CriteriaSampleSize, n)
+        attrs.map { a =>
+          val samples = sampleRows.map(r => Criteria.Sample(r.getOrElse(a, ""), r))
+          a -> SimLLM.reasonCriteria(profile, meter, ds.name, a, samples,
+                                     corr.getOrElse(a, Seq.empty).take(opts.corrK))
+        }.toMap
+      }
 
-    cells.unpersist()
     new FeatureModel(ds.name, attrs, corr, valueCounts, patCounts, coCounts,
                      criteria, dists, n, opts)
   }
 
   /** Deterministic random sample of tuples as attr→value maps. */
-  def sampleTuples(ds: EDataset, size: Int): Seq[Map[String, String]] = {
-    val n = ds.dirty.count()
+  def sampleTuples(ds: EDataset, size: Int): Seq[Map[String, String]] =
+    sampleTuples(ds, size, ds.dirty.count())
+
+  private def sampleTuples(ds: EDataset, size: Int, n: Long): Seq[Map[String, String]] = {
     val frac = math.min(1.0, size * 3.0 / math.max(1L, n))
     val dsName = ds.name
     val keep = udf((tid: Long) => Rng.bool(frac, dsName, "critSample", tid))
-    val rows = ds.dirty.where(keep(col("tid"))).limit(size).collect()
+    // The first `size` kept tuples in partition order, in one job.
+    val rows = ds.dirty.where(keep(col("tid"))).collect().take(size)
     rows.toSeq.map(r => ds.attrs.map(a => a -> r.getAs[String](a)).toMap)
   }
 
-  /** Featurize every cell: (tid, attr, value, features) with the unified
-    * vector built by a UDF over the broadcast model.
+  /** Featurize every cell: (tid, attr, value, features). Each tuple builds its
+    * row map and its |A| base vectors once, then assembles every cell's
+    * unified vector from them with the broadcast model.
     */
   def transform(spark: SparkSession, ds: EDataset, model: FeatureModel): DataFrame = {
+    import spark.implicits._
     val bc: Broadcast[FeatureModel] = spark.sparkContext.broadcast(model)
     val attrs = ds.attrs
-    val featUdf = udf { (attr: String, vals: Seq[String]) =>
-      val row = attrs.zip(vals).toMap
-      Vectors.dense(bc.value.finalVec(attr, row)): Vector
-    }
-    val allVals = array(attrs.map(col): _*)
-    attrs.map { a =>
-      ds.dirty.select(col("tid"), lit(a).as("attr"), col(a).as("value"),
-                      featUdf(lit(a), allVals).as("features"))
-    }.reduce(_.unionAll(_))
+    ds.dirty.flatMap { r =>
+      val m = bc.value
+      val row = attrs.map(a => a -> r.getAs[String](a)).toMap
+      val bases = attrs.map(a => a -> m.baseVec(a, row)).toMap
+      attrs.map(a => (r.getAs[Long]("tid"), a, row(a), Vectors.dense(m.finalVec(a, bases)): Vector))
+    }.toDF("tid", "attr", "value", "features")
   }
 }

@@ -28,11 +28,9 @@ final case class ZeroEDConfig(
 
 final case class ZeroEDResult(
     metrics: PRF,
-    byType: Map[String, PRF],
     inputTokens: Long,
     outputTokens: Long,
     nSampledCells: Int,
-    runtimeMs: Long,
     /** Quality of the propagated training labels themselves (diagnostic:
       * the classifier cannot beat its teacher by much).
       */
@@ -44,9 +42,7 @@ final case class ZeroEDResult(
   */
 object ZeroED {
 
-  def run(spark: SparkSession, ds: EDataset, cfg: ZeroEDConfig = ZeroEDConfig(),
-          byType: Boolean = false): ZeroEDResult = {
-    val t0 = System.nanoTime()
+  def run(spark: SparkSession, ds: EDataset, cfg: ZeroEDConfig = ZeroEDConfig()): ZeroEDResult = {
     val meter = TokenMeter(spark.sparkContext, s"zeroed-${ds.name}-${cfg.profile.name}")
 
     // ---- step 1: feature representation (Section III-B)
@@ -107,13 +103,11 @@ object ZeroED {
 
     val pred = Detector.trainPredict(spark, train, cellsF, model.totalDim, cfg.seed)
     val prf = Metrics.evaluate(pred, ds.mask)
-    val typed = if (byType) Metrics.evaluateByType(pred, ds.mask) else Map.empty[String, PRF]
     val propPrf = Metrics.evaluate(
       labelsDf.select($"tid", $"attr", $"label".as("pred")), ds.mask)
 
     cellsF.unpersist(); train.unpersist()
-    ZeroEDResult(prf, typed, meter.inputTokens, meter.outputTokens,
-                 sampleLabels.size, (System.nanoTime() - t0) / 1000000L, propPrf)
+    ZeroEDResult(prf, meter.inputTokens, meter.outputTokens, sampleLabels.size, propPrf)
   }
 
   /** Collect the featurized cell table into per-attribute parallel arrays. */

@@ -1,7 +1,6 @@
 package repro.data
 
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions._
 
 /** Wide ↔ long conversions for cell-level processing.
   *
@@ -15,7 +14,4 @@ object CellTable {
     val stackArgs = attrs.map(a => s"'$a', `$a`").mkString(", ")
     df.selectExpr("tid", s"stack(${attrs.size}, $stackArgs) as (attr, value)")
   }
-
-  /** Total number of cells (tuples × attributes). */
-  def cellCount(df: DataFrame, attrs: Seq[String]): Long = df.count() * attrs.size
 }

@@ -17,7 +17,8 @@ object Runner {
   def scale: Double = sys.env.getOrElse("REPRO_SCALE", "1.0").toDouble
 
   private val dsCache = scala.collection.mutable.Map.empty[(String, Double), EDataset]
-  private val zedCache = scala.collection.mutable.Map.empty[String, ZeroEDResult]
+  private val zedCache =
+    scala.collection.mutable.Map.empty[(String, Double, ZeroEDConfig), ZeroEDResult]
 
   def dataset(spark: SparkSession, name: String, sc: Double = scale): EDataset =
     synchronized {
@@ -29,15 +30,10 @@ object Runner {
       })
     }
 
-  private def cfgKey(name: String, sc: Double, cfg: ZeroEDConfig): String =
-    s"$name@$sc:${cfg.profile.name}:${cfg.labelRate}:${cfg.corrK}:" +
-      s"${cfg.useGuidelines}:${cfg.useCriteria}:${cfg.useCorr}:${cfg.useVerify}:" +
-      s"${cfg.clusterMethod}:${cfg.seed}"
-
   def zeroed(spark: SparkSession, name: String,
              cfg: ZeroEDConfig = ZeroEDConfig(),
              sc: Double = scale): ZeroEDResult = {
-    val key = cfgKey(name, sc, cfg)
+    val key = (name, sc, cfg)
     synchronized(zedCache.get(key)) match {
       case Some(r) => r
       case None =>

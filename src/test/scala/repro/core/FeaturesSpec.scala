@@ -1,6 +1,7 @@
 package repro.core
 
 import org.apache.spark.ml.linalg.DenseVector
+import org.apache.spark.sql.catalyst.plans.logical.Union
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec, TestData}
 import repro.data.CellTable
@@ -37,6 +38,40 @@ class FeaturesSpec extends SparkSpec {
     // and the model's map is exactly that aggregation
     val fromDf = vc.collect().map(r => (r.getString(0), r.getString(1)) -> r.getLong(2)).toMap
     assert(model.valueCounts == fromDf)
+  }
+
+  test("oracle: fitted pattern counts match a groupBy on the cell table") {
+    import spark.implicits._
+    val pats = CellTable.cells(ds.dirty, ds.attrs).as[(Long, String, String)]
+      .flatMap { case (_, a, v) => Patterns.all(v).zipWithIndex.map { case (p, i) => (a, i + 1, p) } }
+      .toDF("attr", "lvl", "pat")
+      .groupBy("attr", "lvl", "pat").count()
+    val fromDf = pats.collect()
+      .map(r => (r.getString(0), r.getInt(1), r.getString(2)) -> r.getLong(3)).toMap
+    assert(model.patCounts == fromDf)
+  }
+
+  test("oracle: fitted co-occurrence counts match DuckDB") {
+    import spark.implicits._
+    val cells = CellTable.cells(ds.dirty, ds.attrs)
+    val pairs = model.corr.toSeq.flatMap { case (a, qs) => qs.take(model.opts.corrK).map(a -> _) }
+      .toDF("attr", "other")
+    val c1 = cells.toDF("tid", "attr", "value")
+    val c2 = cells.toDF("tid", "other", "otherValue")
+    val co = c1.join(c2, "tid").join(pairs, Seq("attr", "other"))
+      .groupBy("attr", "value", "other", "otherValue").agg(count(lit(1)).as("n"))
+    val fromDf = co.collect().map(r =>
+      (r.getString(0), r.getString(1), r.getString(2), r.getString(3)) -> r.getLong(4)).toMap
+    assert(model.coCounts == fromDf)
+    val fitted = model.coCounts.toSeq.map { case ((a, v, q, w), n) => (a, v, q, w, n) }
+      .toDF("attr", "value", "other", "otherValue", "n")
+    Oracle.assertEquivalent(fitted,
+      """SELECT c1.attr AS attr, c1.value AS value, c2.attr AS other,
+        |       c2.value AS otherValue, count(1) AS n
+        |FROM cells c1 JOIN cells c2 ON c1.tid = c2.tid
+        |JOIN pairs p ON p.attr = c1.attr AND p.other = c2.attr
+        |GROUP BY c1.attr, c1.value, c2.attr, c2.value""".stripMargin,
+      "cells" -> cells, "pairs" -> pairs)
   }
 
   test("pattern frequency reflects the dominant format") {
@@ -102,13 +137,24 @@ class FeaturesSpec extends SparkSpec {
     assert(v.size == model.totalDim)
   }
 
+  test("transform is one pass over the tuples, not a union of per-attribute selects") {
+    val plan = FeatureModel.transform(spark, ds, model).queryExecution.optimizedPlan
+    assert(plan.collect { case u: Union => u }.isEmpty, plan.treeString)
+  }
+
   test("transform agrees with driver-side finalVec") {
-    val cellsF = FeatureModel.transform(spark, ds, model)
-    val got = cellsF.where(col("attr") === "state" && col("tid") === 5L)
-      .select("features").collect()(0).getAs[DenseVector](0).toArray
-    val row = ds.dirty.where(col("tid") === 5L).collect()(0)
-    val rowMap = ds.attrs.map(a => a -> row.getAs[String](a)).toMap
-    assert(got.toSeq == model.finalVec("state", rowMap).toSeq)
+    val rows = ds.dirty.collect().map { r =>
+      r.getAs[Long]("tid") -> ds.attrs.map(a => a -> r.getAs[String](a)).toMap
+    }.toMap
+    val got = FeatureModel.transform(spark, ds, model).collect()
+    assert(got.length == rows.size * ds.attrs.size)
+    assert(got.map(r => (r.getAs[Long]("tid"), r.getAs[String]("attr"))).toSet.size == got.length)
+    got.foreach { r =>
+      val (tid, attr) = (r.getAs[Long]("tid"), r.getAs[String]("attr"))
+      assert(r.getAs[String]("value") == rows(tid)(attr))
+      assert(r.getAs[DenseVector]("features").toArray.toSeq ==
+             model.finalVec(attr, rows(tid)).toSeq, s"tid $tid attr $attr")
+    }
   }
 
   test("distribution analysis exposes top values and rare counts") {

@@ -20,11 +20,6 @@ class CellTableSpec extends SparkSpec {
     ds.attrs.foreach(a => assert(cells(a) == row.getAs[String](a)))
   }
 
-  test("cellCount matches") {
-    assert(CellTable.cellCount(ds.dirty, ds.attrs) ==
-           ds.dirty.count() * ds.attrs.size)
-  }
-
   test("oracle: melted value frequencies match DuckDB unpivot") {
     val freq = CellTable.cells(ds.dirty, ds.attrs)
       .where(col("attr") === "city")

@@ -1,7 +1,7 @@
 package repro.exp
 
 import repro.SparkSpec
-import repro.core.PRF
+import repro.core.{PRF, ZeroEDConfig}
 
 class ExpSpec extends SparkSpec {
 
@@ -46,6 +46,20 @@ class ExpSpec extends SparkSpec {
     val z1 = Runner.zeroed(spark, "hospital", sc = 0.2)
     val z2 = Runner.zeroed(spark, "hospital", sc = 0.2)
     assert(z1 eq z2)
+  }
+
+  test("Runner keys the ZeroED cache on the whole config") {
+    val z1 = Runner.zeroed(spark, "hospital", sc = 0.2)
+    val z5 = Runner.zeroed(spark, "hospital", ZeroEDConfig(batchSize = 5), sc = 0.2)
+    assert(z5.inputTokens != z1.inputTokens)
+  }
+
+  test("TableJob rejects an unknown or missing table name, listing the valid ones") {
+    Seq(Seq.empty, Seq("VII"), Seq("II", "III")).foreach { args =>
+      val e = intercept[IllegalArgumentException](repro.jobs.TableJob.table(args))
+      assert(e.getMessage.contains("II|III|IV|V|VI"), e.getMessage)
+    }
+    Seq("II", "III", "IV", "V", "VI").foreach(t => repro.jobs.TableJob.table(Seq(t)))
   }
 
   test("Runner baseline dispatch rejects unknown methods") {
