@@ -2,7 +2,7 @@ package repro.baselines
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
-import repro.core.Patterns
+import repro.core.CellStats
 import repro.data.{CellTable, EDataset}
 import repro.llm.Criteria
 
@@ -24,17 +24,10 @@ object DBoost {
 
   def detect(spark: SparkSession, ds: EDataset): DataFrame = {
     import spark.implicits._
-    val cells = CellTable.cells(ds.dirty, ds.attrs).cache()
-    val n = ds.dirty.count().toDouble
-
-    val l2u = udf((v: String) => Patterns.l2(v))
-    val patCounts = cells.select($"attr", l2u($"value").as("pat"))
-      .groupBy("attr", "pat").count()
-      .as[(String, String, Long)].collect()
-      .map { case (a, p, c) => (a, p) -> c }.toMap
-    val valCounts = cells.groupBy("attr", "value").count()
-      .as[(String, String, Long)].collect()
-      .map { case (a, v, c) => (a, v) -> c }.toMap
+    val cells = CellTable.cells(ds.dirty, ds.attrs)
+    val stats = CellStats.count(ds.dirty, ds.attrs, Seq.empty)
+    val n = stats.n.toDouble
+    val valCounts = stats.valueCounts
     val distinctPerAttr = valCounts.keys.groupBy(_._1).view.mapValues(_.size).toMap
 
     // Gaussian model per numeric attribute.
@@ -52,9 +45,9 @@ object DBoost {
     val flag = udf { (attr: String, v: String) =>
       if (v.isEmpty) false // missing values are not dBoost's model
       else {
-        val patRare = patCounts.getOrElse((attr, Patterns.l2(v)), 0L) / n < PatternRarity
+        val patRare = stats.l2Count(attr, v) / n < PatternRarity
         val lowCard = distinctPerAttr.getOrElse(attr, Int.MaxValue) <= MaxHistogramCardinality
-        val valRare = lowCard && valCounts.getOrElse((attr, v), 0L) / n < ValueRarity
+        val valRare = lowCard && stats.valueCount(attr, v) / n < ValueRarity
         val zOut = numericAttrs.contains(attr) && {
           val (m, s) = gauss(attr)
           Criteria.parseNumber(v).exists(x => math.abs(x - m) > ZThreshold * s)
@@ -62,8 +55,6 @@ object DBoost {
         patRare || valRare || zOut
       }
     }
-    val out = cells.select($"tid", $"attr", flag($"attr", $"value").as("pred"))
-    cells.unpersist()
-    out
+    cells.select($"tid", $"attr", flag($"attr", $"value").as("pred"))
   }
 }

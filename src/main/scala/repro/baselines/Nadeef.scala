@@ -1,8 +1,8 @@
 package repro.baselines
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
-import repro.data.{CellTable, EDataset}
+import repro.core.CellStats
+import repro.data.{EDataset, FD}
 
 /** Nadeef [13]: violations of manually predefined rules — not-null checks,
   * per-attribute regex patterns, and FD denial constraints. As in the real
@@ -11,30 +11,38 @@ import repro.data.{CellTable, EDataset}
   */
 object Nadeef {
 
-  def detect(spark: SparkSession, ds: EDataset): DataFrame = {
-    val cells = CellTable.cells(ds.dirty, ds.attrs)
+  /** The co-occurrence pairs the FD check reads: each FD's (rhs, lhs). */
+  def fdPairs(fds: Seq[FD]): Seq[(String, String)] = fds.map(fd => fd.rhs -> fd.lhs)
 
+  /** The one definition of an FD violation, read from counts made with `fdPairs(fds)`:
+    * each FD's lhs values that co-occur with more than one rhs value.
+    */
+  def fdViolations(fds: Seq[FD], stats: CellStats): Map[FD, Set[String]] = {
+    // Co-occurrence keys are distinct: a (rhs, lhs, lv) group's keys are its rhs values.
+    val nRhs = stats.coCounts.keys
+      .groupMapReduce { case (rhs, _, lhs, lv) => (rhs, lhs, lv) }(_ => 1)(_ + _)
+    fds.map(fd => fd -> nRhs.collect { case ((fd.rhs, fd.lhs, lv), k) if k > 1 => lv }.toSet).toMap
+  }
+
+  /** The attributes of a tuple in a violated FD group: both sides of each such FD. */
+  def fdFlagged(viol: Map[FD, Set[String]], row: String => String): Set[String] =
+    viol.flatMap { case (fd, bad) => if (bad(row(fd.lhs))) Seq(fd.lhs, fd.rhs) else Nil }.toSet
+
+  def detect(spark: SparkSession, ds: EDataset): DataFrame = {
+    import spark.implicits._
+    val fds = ds.spec.fds
+    val viol = fdViolations(fds, CellStats.count(ds.dirty, ds.attrs, fdPairs(fds)))
     // Not-null rules + regex pattern rules (the dataset's "manual criteria").
     val patterns = ds.spec.nadeefPatterns
-    val ruleFlag = udf { (attr: String, v: String) =>
-      if (v.isEmpty) true
-      else patterns.get(attr).exists(re => !v.matches(re))
-    }
-    val ruleViol = cells.select(col("tid"), col("attr"),
-                                ruleFlag(col("attr"), col("value")).as("pred"))
-
-    // FD denial constraints: a lhs group with >1 distinct rhs is violated;
-    // flag lhs and rhs cells of every tuple in the group.
-    val fdViols: Seq[DataFrame] = ds.spec.fds.map { fd =>
-      val bad = ds.dirty.groupBy(col(fd.lhs))
-        .agg(countDistinct(col(fd.rhs)).as("nrhs"))
-        .where(col("nrhs") > 1).select(col(fd.lhs))
-      val tuples = ds.dirty.join(bad, Seq(fd.lhs)).select(col("tid"))
-      tuples.select(col("tid"), lit(fd.lhs).as("attr"), lit(true).as("pred"))
-        .unionAll(tuples.select(col("tid"), lit(fd.rhs).as("attr"), lit(true).as("pred")))
-    }
-
-    val all = (ruleViol +: fdViols).reduce(_.unionAll(_))
-    all.groupBy("tid", "attr").agg(max("pred").as("pred"))
+    val attrs = ds.attrs
+    ds.dirty.flatMap { r =>
+      val row = attrs.map(a => a -> r.getAs[String](a)).toMap
+      val inFdGroup = fdFlagged(viol, row)
+      attrs.map { a =>
+        val v = row(a)
+        val ruleViol = v.isEmpty || patterns.get(a).exists(re => !v.matches(re))
+        (r.getAs[Long]("tid"), a, ruleViol || inFdGroup(a))
+      }
+    }.toDF("tid", "attr", "pred")
   }
 }

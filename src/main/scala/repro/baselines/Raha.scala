@@ -1,9 +1,8 @@
 package repro.baselines
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
-import repro.core.{LocalKMeans, Patterns}
-import repro.data.{CellTable, EDataset}
+import repro.core.{CellStats, LocalKMeans}
+import repro.data.EDataset
 import repro.llm.Criteria
 import repro.util.Rng
 
@@ -21,32 +20,24 @@ object Raha {
 
   def detect(spark: SparkSession, ds: EDataset): DataFrame = {
     import spark.implicits._
-    val cells = CellTable.cells(ds.dirty, ds.attrs).cache()
-    val n = ds.dirty.count().toDouble
+    val fds = ds.spec.fds
+    val stats = CellStats.count(ds.dirty, ds.attrs, Nadeef.fdPairs(fds))
+    val n = stats.n.toDouble
 
-    val valCounts = cells.groupBy("attr", "value").count()
-      .as[(String, String, Long)].collect()
-      .map { case (a, v, c) => (a, v) -> c }.toMap
-    val l2u = udf((v: String) => Patterns.l2(v))
-    val patCounts = cells.select($"attr", l2u($"value").as("p"))
-      .groupBy("attr", "p").count()
-      .as[(String, String, Long)].collect()
-      .map { case (a, p, c) => (a, p) -> c }.toMap
+    // Every tuple as (tid, attr→value), in partition order: the k-means input order.
+    val tuples: Array[(Long, Map[String, String])] = ds.dirty.collect()
+      .map(r => r.getAs[Long]("tid") -> ds.attrs.map(a => a -> r.getAs[String](a)).toMap)
 
-    // FD-violation strategy (shared with Nadeef's constraint set).
-    val fdFlagged: Set[(Long, String)] = ds.spec.fds.flatMap { fd =>
-      val bad = ds.dirty.groupBy(col(fd.lhs))
-        .agg(countDistinct(col(fd.rhs)).as("nrhs")).where(col("nrhs") > 1)
-        .select(col(fd.lhs))
-      ds.dirty.join(bad, Seq(fd.lhs)).select($"tid").as[Long].collect()
-        .flatMap(t => Seq((t, fd.lhs), (t, fd.rhs)))
-    }.toSet
+    // FD-violation strategy (Nadeef's constraint set and definition).
+    val viol = Nadeef.fdViolations(fds, stats)
+    val fdFlagged: Set[(Long, String)] =
+      tuples.flatMap { case (t, row) => Nadeef.fdFlagged(viol, row).map(t -> _) }.toSet
 
     val numericAttrs = ds.spec.numericAttrs
     def battery(tid: Long, attr: String, v: String): Array[Double] = Array(
       if (v.isEmpty) 1.0 else 0.0,
-      if (patCounts.getOrElse((attr, Patterns.l2(v)), 0L) / n < 0.02) 1.0 else 0.0,
-      if (valCounts.getOrElse((attr, v), 0L) / n < 0.01) 1.0 else 0.0,
+      if (stats.l2Count(attr, v) / n < 0.02) 1.0 else 0.0,
+      if (stats.valueCount(attr, v) / n < 0.01) 1.0 else 0.0,
       if (numericAttrs.contains(attr) && Criteria.parseNumber(v).isEmpty) 1.0 else 0.0,
       if (fdFlagged.contains((tid, attr))) 1.0 else 0.0,
     )
@@ -59,22 +50,18 @@ object Raha {
       .select($"tid", $"attr", $"is_error").as[(Long, String, Boolean)]
       .collect().map { case (t, a, e) => (t, a) -> e }.toMap
 
-    val collected = cells.select($"tid", $"attr", $"value")
-      .as[(Long, String, String)].collect().groupBy(_._2)
-
     // Strategy-profile propagation across attributes: a labeled erroneous
     // cell's battery signature marks every cell sharing it as dirty (Raha's
     // "same strategies fired" reasoning), complemented by per-attribute
     // in-cluster propagation. Non-firing signatures stay clean.
+    val byTid = tuples.toMap
     val errSignatures: Set[Seq[Double]] = truth.collect {
-      case ((t, a), true) =>
-        ds.dirty.where($"tid" === t).collect().headOption
-          .map(r => battery(t, a, r.getAs[String](a)).toSeq)
+      case ((t, a), true) => byTid.get(t).map(row => battery(t, a, row(a)).toSeq)
     }.flatten.filter(_.exists(_ > 0)).toSet
 
     val preds = ds.attrs.flatMap { a =>
-      val rows = collected.getOrElse(a, Array.empty)
-      val feats = rows.map { case (t, _, v) => battery(t, a, v) }
+      val rows = tuples.map { case (t, row) => (t, row(a)) }
+      val feats = rows.map { case (t, v) => battery(t, a, v) }
       if (feats.isEmpty) Seq.empty
       else {
         val res = LocalKMeans.fit(feats, math.min(ClustersPerAttr, feats.length),
@@ -94,7 +81,6 @@ object Raha {
         }
       }
     }
-    cells.unpersist()
     preds.toDF("tid", "attr", "pred")
   }
 }

@@ -16,7 +16,7 @@ final case class FeatureOpts(
 )
 
 /** The fitted per-dataset feature statistics (Section III-B), counted in one
-  * Spark aggregation pass and broadcast for tuple-level featurization:
+  * `CellStats.count` pass and broadcast for tuple-level featurization:
   *
   *  f_base(cell) = [valueFreq, vicinityFreq] ⊕ [patFreq L1..L3] ⊕ f_sem ⊕ f_cri
   *  Feat(cell)   = f_base(cell) ⊕ f_base(correlated cells of the same tuple)
@@ -135,25 +135,7 @@ object FeatureModel {
       if (!opts.useCorr) Seq.empty
       else corr.toSeq.flatMap { case (a, qs) => qs.take(opts.corrK).map(a -> _) }
 
-    // Every tuple emits the keys of all three maps, told apart by arity:
-    // (attr, value), (attr, level, pattern) per cell and
-    // (attr, value, other, otherValue) per pair; one countByValue counts them.
-    val counts = ds.dirty.rdd.flatMap[Product] { r =>
-      val row = attrs.map(a => a -> r.getAs[String](a)).toMap
-      attrs.flatMap { a =>
-        val v = row(a)
-        (a, v) +: Patterns.all(v).zipWithIndex.map { case (p, i) => (a, i + 1, p) }
-      } ++ pairs.map { case (a, q) => (a, row(a), q, row(q)) }
-    }.countByValue()
-    val valueCounts = counts.collect { case (k: (String, String) @unchecked, c) => k -> c }.toMap
-    val patCounts =
-      counts.collect { case (k: (String, Int, String) @unchecked, c) => k -> c }.toMap
-    val coCounts =
-      counts.collect { case (k: (String, String, String, String) @unchecked, c) => k -> c }.toMap
-    // Every tuple holds one value per attribute, so one attribute's counts sum to n.
-    val n = attrs.headOption.fold(ds.dirty.count()) { a =>
-      valueCounts.iterator.collect { case ((`a`, _), c) => c }.sum
-    }
+    val CellStats(n, valueCounts, patCounts, coCounts) = CellStats.count(ds.dirty, attrs, pairs)
 
     // Distribution analysis (the executed "analysis functions" of Fig. 5).
     val dists = attrs.map { a =>

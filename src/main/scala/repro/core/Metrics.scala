@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{Column, DataFrame, Row}
 import org.apache.spark.sql.functions._
 
 /** Cell-level detection quality (Section IV-A): precision, recall, F1 over
@@ -18,32 +18,30 @@ final case class PRF(tp: Long, fp: Long, fn: Long, tn: Long) {
 
 object Metrics {
 
+  /** The confusion counts of `pred` against the mask, one per group of the
+    * mask's `by` columns. Cells without a prediction count as clean.
+    */
+  private def confusion(pred: DataFrame, mask: DataFrame, by: String*): Array[(Row, PRF)] = {
+    val (e, p, k) = (col("is_error"), coalesce(col("pred"), lit(false)), by.size)
+    val n = (c: Column) => sum(when(c, 1L).otherwise(0L))
+    mask.select("tid", "attr" +: "is_error" +: by: _*)
+      .join(pred.select("tid", "attr", "pred"), Seq("tid", "attr"), "left")
+      .groupBy(by.map(col): _*).agg(n(e && p), n(!e && p), n(e && !p), n(!e && !p))
+      .collect().map(r => r -> PRF(r.getLong(k), r.getLong(k + 1), r.getLong(k + 2), r.getLong(k + 3)))
+  }
+
   /** Evaluate predictions (tid, attr, pred) against the mask
     * (tid, attr, is_error). Cells without a prediction count as clean.
     */
-  def evaluate(pred: DataFrame, mask: DataFrame): PRF = {
-    val joined = mask.select("tid", "attr", "is_error")
-      .join(pred.select(col("tid"), col("attr"), col("pred")), Seq("tid", "attr"), "left")
-      .withColumn("p", coalesce(col("pred"), lit(false)))
-    val agg = joined.agg(
-      sum(when(col("is_error") && col("p"), 1L).otherwise(0L)).as("tp"),
-      sum(when(!col("is_error") && col("p"), 1L).otherwise(0L)).as("fp"),
-      sum(when(col("is_error") && !col("p"), 1L).otherwise(0L)).as("fn"),
-      sum(when(!col("is_error") && !col("p"), 1L).otherwise(0L)).as("tn"),
-    ).collect()(0)
-    PRF(agg.getLong(0), agg.getLong(1), agg.getLong(2), agg.getLong(3))
-  }
+  def evaluate(pred: DataFrame, mask: DataFrame): PRF = confusion(pred, mask)(0)._2
 
   /** Per-error-type recall-oriented breakdown (Fig. 11-style diagnostics):
     * for each injected type, the F1 restricted to cells that are either clean
-    * or of that type.
+    * or of that type: that type's counts plus those of the clean (`""`) group.
     */
   def evaluateByType(pred: DataFrame, mask: DataFrame): Map[String, PRF] = {
-    val types = mask.select("err_type").where(col("err_type") =!= "")
-      .distinct().collect().map(_.getString(0))
-    types.map { t =>
-      val m = mask.where(col("err_type") === t || col("err_type") === "")
-      t -> evaluate(pred, m)
-    }.toMap
+    val groups = confusion(pred, mask, "err_type").map { case (r, m) => r.getString(0) -> m }.toMap
+    val c = groups.getOrElse("", PRF(0, 0, 0, 0))
+    (groups - "").map { case (t, m) => t -> PRF(m.tp + c.tp, m.fp + c.fp, m.fn + c.fn, m.tn + c.tn) }
   }
 }

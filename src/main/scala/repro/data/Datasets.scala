@@ -15,7 +15,6 @@ final case class EDataset(spec: DatasetSpec, dirty: DataFrame,
                           clean: DataFrame, mask: DataFrame) {
   def name: String = spec.name
   def attrs: IndexedSeq[String] = spec.attrNames
-  def nTuples: Long = dirty.count()
 }
 
 object Datasets {

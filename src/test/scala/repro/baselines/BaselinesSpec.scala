@@ -1,14 +1,26 @@
 package repro.baselines
 
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
-import repro.{SparkSpec, TestData}
-import repro.core.Metrics
-import repro.data.Datasets
+import repro.{Oracle, SparkSpec, TestData}
+import repro.core.{CellStats, Metrics}
+import repro.data.{Datasets, EDataset, FD}
 
 class BaselinesSpec extends SparkSpec {
 
   private lazy val hospital = TestData.hospitalSmall(spark)
   private lazy val flights  = TestData.flightsSmall(spark)
+
+  /** The FD-violation cells in SQL over the dirty table `d`: for each FD, the
+    * lhs groups with more than one distinct rhs value, and both the lhs and
+    * the rhs cell of every tuple in them.
+    */
+  private def fdOracleSql(fds: Seq[FD]): String = fds.flatMap { fd =>
+    val bad = s"""SELECT "${fd.lhs}" AS k FROM d GROUP BY "${fd.lhs}"
+                 |HAVING count(DISTINCT "${fd.rhs}") > 1""".stripMargin
+    Seq(fd.lhs, fd.rhs).map(a =>
+      s"""SELECT d.tid AS tid, '$a' AS attr FROM d JOIN ($bad) b ON d."${fd.lhs}" = b.k""")
+  }.mkString("\nUNION\n")
 
   // ------------------------------------------------------------------ dBoost
   test("dBoost predicts for every cell") {
@@ -41,12 +53,28 @@ class BaselinesSpec extends SparkSpec {
     assert(missed == 0L)
   }
 
+  test("oracle: cells flagged by the shared FD predicate match DuckDB") {
+    import spark.implicits._
+    val fds = hospital.spec.fds
+    val viol = Nadeef.fdViolations(fds,
+      CellStats.count(hospital.dirty, hospital.attrs, Nadeef.fdPairs(fds)))
+    val flagged = hospital.dirty.collect().toSeq.flatMap { r =>
+      Nadeef.fdFlagged(viol, r.getAs[String](_)).map(a => (r.getAs[Long]("tid"), a))
+    }.toDF("tid", "attr")
+    assert(flagged.count() > 0)
+    Oracle.assertEquivalent(flagged, fdOracleSql(fds), "d" -> hospital.dirty)
+  }
+
   test("Nadeef flags both sides of violated FD groups") {
+    import spark.implicits._
     val pred = Nadeef.detect(spark, hospital)
-    val attrsFlagged = pred.where(col("pred")).select("attr").distinct()
-      .collect().map(_.getString(0)).toSet
-    // city→state violations must flag both attributes somewhere
-    assert(attrsFlagged.contains("state") || attrsFlagged.contains("condition"))
+    // Every oracle cell is flagged (and the oracle is not empty).
+    Oracle.assertEquivalent(Seq((true, 0L)).toDF("any_fd", "missed"),
+      s"""SELECT count(*) > 0 AS any_fd,
+         |  count(*) FILTER (WHERE p.pred IS NULL OR p.pred <> 'true') AS missed
+         |FROM (${fdOracleSql(hospital.spec.fds)}) o
+         |LEFT JOIN p ON o.tid = p.tid AND o.attr = p.attr""".stripMargin,
+      "d" -> hospital.dirty, "p" -> pred)
   }
 
   test("Nadeef recall on rule violations is substantial") {
@@ -99,6 +127,20 @@ class BaselinesSpec extends SparkSpec {
   test("Raha with 2 labeled tuples has bounded recall (paper Fig. 6)") {
     val m = Metrics.evaluate(Raha.detect(spark, flights), flights.mask)
     assert(m.recall < 0.9, s"Raha recall too high for 2 labels: $m")
+  }
+
+  // ------------------------------------------------------------------ caching
+  test("dBoost, Nadeef, ActiveClean and Raha leave no RDD persisted") {
+    hospital.dirty.count()
+    val detectors = Seq[(String, EDataset => DataFrame)](
+      "dBoost" -> (DBoost.detect(spark, _)), "Nadeef" -> (Nadeef.detect(spark, _)),
+      "ActiveClean" -> (ActiveClean.detect(spark, _)), "Raha" -> (Raha.detect(spark, _)))
+    for ((name, detect) <- detectors) {
+      val before = spark.sparkContext.getPersistentRDDs.keySet.toSet
+      detect(hospital).count()
+      val after = spark.sparkContext.getPersistentRDDs.keySet.toSet
+      assert(after == before, s"$name left RDDs ${after -- before} persisted")
+    }
   }
 
   // ------------------------------------------------------------------- FM_ED

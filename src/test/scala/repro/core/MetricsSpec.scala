@@ -72,10 +72,11 @@ class MetricsSpec extends SparkSpec {
 
   test("evaluateByType restricts negatives to clean cells plus the type") {
     val mask = maskDf(Seq((0L, "a", true, "T"), (1L, "a", true, "MV"),
-                          (2L, "a", false, "")))
-    val pred = predDf(Seq((0L, "a", true), (1L, "a", false), (2L, "a", false)))
+                          (2L, "a", false, ""), (3L, "a", false, "")))
+    val pred = predDf(Seq((0L, "a", true), (1L, "a", false), (2L, "a", false), (3L, "a", true)))
     val byType = Metrics.evaluateByType(pred, mask)
-    assert(byType("T").tp == 1 && byType("T").fn == 0)
-    assert(byType("MV").tp == 0 && byType("MV").fn == 1)
+    assert(byType.keySet == Set("T", "MV"))
+    assert(byType("T") == PRF(tp = 1, fp = 1, fn = 0, tn = 1))
+    assert(byType("MV") == PRF(tp = 0, fp = 1, fn = 1, tn = 1))
   }
 }

@@ -7,9 +7,11 @@ import repro.llm.ModelProfiles
 class ZeroEDSpec extends SparkSpec {
 
   private lazy val ds = TestData.hospitalSmall(spark)
+  /** One run of the default config, shared by the tests that need it. */
+  private lazy val default = ZeroED.run(spark, ds)
 
   test("full config beats the no-criteria ablation on noisy hospital") {
-    val full = ZeroED.run(spark, ds)
+    val full = default
     val noCrit = ZeroED.run(spark, ds, ZeroEDConfig(useCriteria = false))
     info(s"full=${full.metrics} noCrit=${noCrit.metrics}")
     // loose shape check at small scale (200 tuples is noisy); the faithful
@@ -25,19 +27,19 @@ class ZeroEDSpec extends SparkSpec {
 
   test("label rate controls the number of sampled cells") {
     val r1 = ZeroED.run(spark, ds, ZeroEDConfig(labelRate = 0.01))
-    val r5 = ZeroED.run(spark, ds, ZeroEDConfig(labelRate = 0.05))
+    val r5 = default // labelRate = 0.05
     assert(r5.nSampledCells > r1.nSampledCells)
   }
 
   test("a weaker LLM profile yields lower precision") {
-    val strong = ZeroED.run(spark, ds)
+    val strong = default
     val weak = ZeroED.run(spark, ds, ZeroEDConfig(profile = ModelProfiles.gpt4oMini))
     info(s"strong=${strong.metrics} weak=${weak.metrics}")
     assert(weak.metrics.precision < strong.metrics.precision + 0.05)
   }
 
   test("token accounting is populated and result is deterministic-ish") {
-    val r = ZeroED.run(spark, ds)
+    val r = default
     assert(r.inputTokens > 0 && r.outputTokens > 0)
     val r2 = ZeroED.run(spark, ds)
     assert(r.metrics == r2.metrics, s"${r.metrics} vs ${r2.metrics}")
