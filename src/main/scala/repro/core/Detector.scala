@@ -1,40 +1,284 @@
 package repro.core
 
-import org.apache.spark.ml.classification.MultilayerPerceptronClassifier
+import breeze.linalg.{DenseVector => BDV}
+import breeze.optimize.{CachedDiffFunction, DiffFunction, LBFGS}
+import org.apache.spark.ml.linalg.Vector
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
+import repro.util.Rng
 
-/** The final ED classifier (Section III-D): a two-layer MLP trained with
+import scala.concurrent.{Await, ExecutionContext, Future}
+import scala.concurrent.duration.Duration
+
+/** A [dim, hidden, 2] network: a sigmoid hidden layer and a softmax output
+  * trained with cross-entropy. Its weights are one flat array: W1
+  * (hidden × dim, row-major), b1, W2 (2 × hidden, row-major), b2.
+  */
+private[core] final case class Mlp(dim: Int, hidden: Int) {
+  private val oB1 = hidden * dim
+  private val oW2 = oB1 + hidden
+  private val oB2 = oW2 + 2 * hidden
+  val nWeights: Int = oB2 + 2
+
+  /** U(-2.4, 2.4) / sqrt(fan-in) for every weight and bias (MLlib's range). */
+  def init(seed: Long): Array[Double] = Array.tabulate(nWeights) { i =>
+    val fanIn = if (i < oW2) dim else hidden
+    (Rng.unif("mlp-init", seed, i) * 4.8 - 2.4) / math.sqrt(fanIn.toDouble)
+  }
+
+  /** Output logits of the hidden activations `h` into `z`. */
+  private def output(w: Array[Double], h: Array[Double], z: Array[Double]): Unit = {
+    var c = 0
+    while (c < 2) {
+      var s = w(oB2 + c)
+      val row = oW2 + c * hidden
+      var j = 0
+      while (j < hidden) { s += w(row + j) * h(j); j += 1 }
+      z(c) = s
+      c += 1
+    }
+  }
+
+  /** The predicted class of `x`: error when the error logit is strictly larger. */
+  def isError(w: Array[Double], x: Array[Double]): Boolean = {
+    val h = new Array[Double](hidden)
+    var j = 0
+    while (j < hidden) { h(j) = w(oB1 + j); j += 1 }
+    Mlp.dots(x, 0, w, 0, 1, hidden, dim, h)
+    j = 0
+    while (j < hidden) { h(j) = 1.0 / (1.0 + math.exp(-h(j))); j += 1 }
+    val z = new Array[Double](2)
+    output(w, h, z)
+    z(1) > z(0)
+  }
+
+  /** Example-weighted cross-entropy summed over rows [lo, hi) of `ex`; adds
+    * the weighted gradient sum into `g`. Every term is the row weight times a
+    * weight-free quantity, so scaling all weights by two scales both sums
+    * exactly.
+    */
+  def lossGradSum(w: Array[Double], ex: Examples, lo: Int, hi: Int, g: Array[Double]): Double = {
+    val nb = hi - lo
+    val xb = new Array[Double](nb * dim)  // the block's rows, nb × dim
+    val xt = new Array[Double](dim * nb)  // and transposed
+    var r = 0
+    while (r < nb) {
+      val x = ex.x(lo + r)
+      System.arraycopy(x, 0, xb, r * dim, dim)
+      var k = 0
+      while (k < dim) { xt(k * nb + r) = x(k); k += 1 }
+      r += 1
+    }
+    // Hidden pre-activations of every row: b1 + W1 · x.
+    val a = new Array[Double](nb * hidden)
+    r = 0
+    while (r < nb) { System.arraycopy(w, oB1, a, r * hidden, hidden); r += 1 }
+    Mlp.dots(xb, 0, w, 0, nb, hidden, dim, a)
+
+    val h = new Array[Double](hidden)
+    val z = new Array[Double](2)
+    val d = new Array[Double](2)
+    val dht = new Array[Double](hidden * nb)  // hidden deltas, hidden × nb
+    var loss = 0.0
+    r = 0
+    while (r < nb) {
+      val wt = ex.weight(lo + r)
+      val y = ex.y(lo + r)
+      var j = 0
+      while (j < hidden) { h(j) = 1.0 / (1.0 + math.exp(-a(r * hidden + j))); j += 1 }
+      output(w, h, z)
+      val m = math.max(z(0), z(1))
+      val lse = m + math.log(math.exp(z(0) - m) + math.exp(z(1) - m))
+      loss += wt * (lse - z(y))
+      var c = 0
+      while (c < 2) {
+        d(c) = wt * (math.exp(z(c) - lse) - (if (y == c) 1.0 else 0.0))
+        g(oB2 + c) += d(c)
+        val row = oW2 + c * hidden
+        j = 0
+        while (j < hidden) { g(row + j) += d(c) * h(j); j += 1 }
+        c += 1
+      }
+      j = 0
+      while (j < hidden) {
+        val dh = (w(oW2 + j) * d(0) + w(oW2 + hidden + j) * d(1)) * h(j) * (1.0 - h(j))
+        g(oB1 + j) += dh
+        dht(j * nb + r) = dh
+        j += 1
+      }
+      r += 1
+    }
+    // W1's gradient: the sum over the block's rows of dh · x.
+    Mlp.dots(dht, 0, xt, 0, hidden, dim, nb, g)
+    loss
+  }
+}
+
+private[core] object Mlp {
+
+  /** out(i * nj + j) += Σ_l p(pOff + i * nl + l) * q(qOff + j * nl + l) for
+    * i < ni, j < nj, each sum taken in l order onto the value already in
+    * `out`. Computed in 4 × 4 tiles held in registers, which reuses every
+    * load four times; the result is the same as one dot product at a time.
+    */
+  def dots(p: Array[Double], pOff: Int, q: Array[Double], qOff: Int,
+           ni: Int, nj: Int, nl: Int, out: Array[Double]): Unit = {
+    def one(i: Int, j: Int): Unit = {
+      val pi = pOff + i * nl; val qj = qOff + j * nl
+      var s = out(i * nj + j)
+      var l = 0
+      while (l < nl) { s += p(pi + l) * q(qj + l); l += 1 }
+      out(i * nj + j) = s
+    }
+    var i = 0
+    while (i + 4 <= ni) {
+      val p0 = pOff + i * nl; val p1 = p0 + nl; val p2 = p1 + nl; val p3 = p2 + nl
+      val o0 = i * nj; val o1 = o0 + nj; val o2 = o1 + nj; val o3 = o2 + nj
+      var j = 0
+      while (j + 4 <= nj) {
+        val q0 = qOff + j * nl; val q1 = q0 + nl; val q2 = q1 + nl; val q3 = q2 + nl
+        var s00 = out(o0 + j); var s01 = out(o0 + j + 1); var s02 = out(o0 + j + 2); var s03 = out(o0 + j + 3)
+        var s10 = out(o1 + j); var s11 = out(o1 + j + 1); var s12 = out(o1 + j + 2); var s13 = out(o1 + j + 3)
+        var s20 = out(o2 + j); var s21 = out(o2 + j + 1); var s22 = out(o2 + j + 2); var s23 = out(o2 + j + 3)
+        var s30 = out(o3 + j); var s31 = out(o3 + j + 1); var s32 = out(o3 + j + 2); var s33 = out(o3 + j + 3)
+        var l = 0
+        while (l < nl) {
+          val a0 = p(p0 + l); val a1 = p(p1 + l); val a2 = p(p2 + l); val a3 = p(p3 + l)
+          val b0 = q(q0 + l); val b1 = q(q1 + l); val b2 = q(q2 + l); val b3 = q(q3 + l)
+          s00 += a0 * b0; s01 += a0 * b1; s02 += a0 * b2; s03 += a0 * b3
+          s10 += a1 * b0; s11 += a1 * b1; s12 += a1 * b2; s13 += a1 * b3
+          s20 += a2 * b0; s21 += a2 * b1; s22 += a2 * b2; s23 += a2 * b3
+          s30 += a3 * b0; s31 += a3 * b1; s32 += a3 * b2; s33 += a3 * b3
+          l += 1
+        }
+        out(o0 + j) = s00; out(o0 + j + 1) = s01; out(o0 + j + 2) = s02; out(o0 + j + 3) = s03
+        out(o1 + j) = s10; out(o1 + j + 1) = s11; out(o1 + j + 2) = s12; out(o1 + j + 3) = s13
+        out(o2 + j) = s20; out(o2 + j + 1) = s21; out(o2 + j + 2) = s22; out(o2 + j + 3) = s23
+        out(o3 + j) = s30; out(o3 + j + 1) = s31; out(o3 + j + 2) = s32; out(o3 + j + 3) = s33
+        j += 4
+      }
+      while (j < nj) { one(i, j); one(i + 1, j); one(i + 2, j); one(i + 3, j); j += 1 }
+      i += 4
+    }
+    while (i < ni) {
+      var j = 0
+      while (j < nj) { one(i, j); j += 1 }
+      i += 1
+    }
+  }
+}
+
+/** Training rows in canonical order (label, then features by
+  * `java.lang.Double.compare`), identical rows merged into one with an
+  * integer weight. y is the class index (0 clean, 1 error).
+  */
+private[core] final case class Examples(x: Array[Array[Double]], y: Array[Int],
+                                        weight: Array[Double]) {
+  def size: Int = x.length
+  val totalWeight: Double = weight.sum
+}
+
+private[core] object Examples {
+
+  private val canonical: Ordering[(Array[Double], Int)] = (a, b) => {
+    var c = Integer.compare(a._2, b._2)
+    var k = 0
+    while (c == 0 && k < a._1.length) { c = java.lang.Double.compare(a._1(k), b._1(k)); k += 1 }
+    c
+  }
+
+  def apply(rows: Seq[(Array[Double], Int)]): Examples = {
+    val sorted = rows.toArray.sorted(canonical)
+    val x = Array.newBuilder[Array[Double]]
+    val y = Array.newBuilder[Int]
+    val weight = Array.newBuilder[Double]
+    var i = 0
+    while (i < sorted.length) {
+      var j = i + 1
+      while (j < sorted.length && canonical.compare(sorted(i), sorted(j)) == 0) j += 1
+      x += sorted(i)._1; y += sorted(i)._2; weight += (j - i).toDouble
+      i = j
+    }
+    Examples(x.result(), y.result(), weight.result())
+  }
+}
+
+/** The final ED classifier (Section III-D): a [dim, 32, 2] MLP trained with
   * cross-entropy over the unified cell features, predicting clean/dirty for
-  * every cell of the dataset. Implemented as a Spark MLlib DataFrame pipeline.
+  * every cell of the dataset. The training set is small (tens of thousands of
+  * rows), so it is collected once and fitted on the driver with L-BFGS;
+  * prediction is a lazy per-cell UDF over the fitted weights.
   */
 object Detector {
 
   val HiddenUnits = 32
   val MaxIter = 60
+  // MLlib's MultilayerPerceptronClassifier L-BFGS settings.
+  private val Memory = 10
+  private val Tolerance = 1e-6
+  /** Rows per partial sum. Fixed, so the objective's rounding does not
+    * depend on the thread count.
+    */
+  private val BlockSize = 64
 
   /** Train on (features, label) and predict every cell of `cellsF`
     * (tid, attr, value, features). Returns (tid, attr, pred).
     *
-    * Degenerate single-class training data short-circuits to the constant
-    * prediction (an MLP cannot be fit on one class).
+    * The fit depends only on the multiset of training rows, not on how
+    * `train` is partitioned. Degenerate single-class (or empty) training data
+    * short-circuits to the constant prediction (an MLP cannot be fit on one
+    * class).
     */
   def trainPredict(spark: SparkSession, train: DataFrame, cellsF: DataFrame,
                    dim: Int, seed: Long): DataFrame = {
-    val classes = train.select("label").distinct().collect().map(_.getDouble(0)).sorted
+    val rows = train.select("features", "label").collect()
+      .map(r => (r.getAs[Vector](0).toArray, if (r.getDouble(1) == 1.0) 1 else 0))
+    val classes = rows.map(_._2).distinct
     if (classes.length < 2) {
-      val only = classes.headOption.getOrElse(0.0) == 1.0
+      val only = classes.headOption.contains(1)
       return cellsF.select(col("tid"), col("attr"), lit(only).as("pred"))
     }
-    val mlp = new MultilayerPerceptronClassifier()
-      .setLayers(Array(dim, HiddenUnits, 2))
-      .setMaxIter(MaxIter)
-      .setSeed(seed)
-      .setBlockSize(64)
-      .setFeaturesCol("features")
-      .setLabelCol("label")
-    val fitted = mlp.fit(train)
-    fitted.transform(cellsF)
-      .select(col("tid"), col("attr"), (col("prediction") === 1.0).as("pred"))
+    val mlp = Mlp(dim, HiddenUnits)
+    val w = fit(mlp, Examples(rows.toSeq), seed)
+    val isError = udf((v: Vector) => mlp.isError(w, v.toArray))
+    cellsF.select(col("tid"), col("attr"), isError(col("features")).as("pred"))
+  }
+
+  /** The weighted-mean cross-entropy of `ex` at `w` and its gradient. Each
+    * 64-row block's sums are computed on its own (in parallel) and added in
+    * block order, so the result is the same on any thread count.
+    */
+  private[core] def lossGrad(mlp: Mlp, ex: Examples, w: Array[Double]): (Double, Array[Double]) = {
+    implicit val ec: ExecutionContext = ExecutionContext.global
+    val nBlocks = (ex.size + BlockSize - 1) / BlockSize
+    val parts = Await.result(Future.traverse((0 until nBlocks).toVector) { b =>
+      Future {
+        val g = new Array[Double](mlp.nWeights)
+        val loss = mlp.lossGradSum(w, ex, b * BlockSize, math.min(ex.size, (b + 1) * BlockSize), g)
+        (loss, g)
+      }
+    }, Duration.Inf)
+    var loss = 0.0
+    val grad = new Array[Double](mlp.nWeights)
+    parts.foreach { case (l, g) =>
+      loss += l
+      var i = 0
+      while (i < grad.length) { grad(i) += g(i); i += 1 }
+    }
+    var i = 0
+    while (i < grad.length) { grad(i) /= ex.totalWeight; i += 1 }
+    (loss / ex.totalWeight, grad)
+  }
+
+  /** Minimize `lossGrad` with L-BFGS from the `Rng` initialization. */
+  private[core] def fit(mlp: Mlp, ex: Examples, seed: Long): Array[Double] = {
+    val f = new DiffFunction[BDV[Double]] {
+      def calculate(x: BDV[Double]): (Double, BDV[Double]) = {
+        val (loss, grad) = lossGrad(mlp, ex, x.toArray)
+        (loss, BDV(grad))
+      }
+    }
+    val lbfgs = new LBFGS[BDV[Double]](MaxIter, Memory, Tolerance)
+    lbfgs.minimize(new CachedDiffFunction(f), BDV(mlp.init(seed))).toArray
   }
 }

@@ -176,8 +176,10 @@ object FeatureModel {
     val frac = math.min(1.0, size * 3.0 / math.max(1L, n))
     val dsName = ds.name
     val keep = udf((tid: Long) => Rng.bool(frac, dsName, "critSample", tid))
-    // The first `size` kept tuples in partition order, in one job.
-    val rows = ds.dirty.where(keep(col("tid"))).collect().take(size)
+    // The `size` kept tuples with the smallest tids, in one job; tid order,
+    // not partition order, so the sample does not depend on the layout.
+    val rows = ds.dirty.where(keep(col("tid"))).collect()
+      .sortBy(_.getAs[Long]("tid")).take(size)
     rows.toSeq.map(r => ds.attrs.map(a => a -> r.getAs[String](a)).toMap)
   }
 

@@ -52,9 +52,7 @@ object ZeroED {
     val opts = FeatureOpts(corrK = cfg.corrK, useCriteria = cfg.useCriteria,
                            useCorr = cfg.useCorr)
     val model = FeatureModel.fit(spark, ds, corr, cfg.profile, meter, opts)
-    // Small-data / many-jobs workload: a handful of partitions keeps the
-    // scheduler overhead of the iterative MLP fit and the joins bounded.
-    val cellsF = FeatureModel.transform(spark, ds, model).repartition(8).cache()
+    val cellsF = FeatureModel.transform(spark, ds, model).cache()
 
     // Driver-side views for the sampled LLM workflows (datasets are small;
     // DESIGN.md § Spark layering).
@@ -98,15 +96,14 @@ object ZeroED {
     val augTrain = outcome.augmented
       .map(a => (Vectors.dense(a.features).asInstanceOf[org.apache.spark.ml.linalg.Vector], 1.0))
       .toDF("features", "label")
-    val train = propagatedTrain.unionAll(augTrain).repartition(8).cache()
-    train.count()
+    val train = propagatedTrain.unionAll(augTrain)
 
     val pred = Detector.trainPredict(spark, train, cellsF, model.totalDim, cfg.seed)
     val prf = Metrics.evaluate(pred, ds.mask)
     val propPrf = Metrics.evaluate(
       labelsDf.select($"tid", $"attr", $"label".as("pred")), ds.mask)
 
-    cellsF.unpersist(); train.unpersist()
+    cellsF.unpersist()
     ZeroEDResult(prf, meter.inputTokens, meter.outputTokens, sampleLabels.size, propPrf)
   }
 

@@ -1,8 +1,11 @@
 package repro.core
 
-import org.apache.spark.ml.linalg.Vectors
+import org.apache.spark.ml.linalg.{Vector, Vectors}
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.SparkSpec
+import repro.util.Rng
 
 class DetectorSpec extends SparkSpec {
 
@@ -60,5 +63,133 @@ class DetectorSpec extends SparkSpec {
     val p1 = Detector.trainPredict(spark, train, cells, 2, 7L).orderBy("tid").collect()
     val p2 = Detector.trainPredict(spark, train, cells, 2, 7L).orderBy("tid").collect()
     assert(p1.toSeq == p2.toSeq)
+  }
+
+  /** Overlapping classes: the label is u0 + u1 > 1 with 15% of labels
+    * flipped, so cells near the boundary are sensitive to the fitted weights.
+    */
+  private def noisy(n: Int, salt: String): Seq[(Array[Double], Double)] = (0 until n).map { i =>
+    val x = Array(Rng.unif(salt, i, 0), Rng.unif(salt, i, 1))
+    val err = (x(0) + x(1) > 1.0) != Rng.bool(0.15, salt, i, "flip")
+    (x, if (err) 1.0 else 0.0)
+  }
+
+  private def trainDf(rows: Seq[(Array[Double], Double)]): DataFrame = {
+    import spark.implicits._
+    rows.map { case (x, l) => (Vectors.dense(x): Vector, l) }.toDF("features", "label")
+  }
+
+  private lazy val noisyCells: DataFrame = {
+    import spark.implicits._
+    noisy(300, "det-cells").zipWithIndex
+      .map { case ((x, _), i) => (i.toLong, "a", "v", Vectors.dense(x): Vector) }
+      .toDF("tid", "attr", "value", "features")
+  }
+
+  private def predictions(train: DataFrame, seed: Long): Seq[Boolean] =
+    Detector.trainPredict(spark, train, noisyCells, 2, seed).orderBy("tid").collect()
+      .map(_.getBoolean(2)).toSeq
+
+  private def assertSame(a: Seq[Boolean], b: Seq[Boolean]): Unit = {
+    val differ = a.zip(b).count { case (x, y) => x != y }
+    assert(a.size == b.size && differ == 0, s"$differ of ${a.size} predictions differ")
+  }
+
+  test("predictions do not depend on how the training set is partitioned") {
+    val train = trainDf(noisy(400, "det-train"))
+    val one = predictions(train.repartition(1), 3L)
+    val seven = predictions(train.orderBy(rand(11L)).repartition(7), 3L)
+    assert(one.contains(true) && one.contains(false), "degenerate fit")
+    assertSame(one, seven)
+  }
+
+  test("an empty training set predicts every cell clean") {
+    val pred = Detector.trainPredict(spark, trainDf(Seq.empty), noisyCells, 2, 1L)
+    assert(pred.count() == 300)
+    assert(pred.where(col("pred")).count() == 0)
+  }
+
+  test("duplicating every training row leaves weights and predictions bit-identical") {
+    val rows = noisy(200, "det-dup").map { case (x, l) => (x, l.toInt) }
+    val mlp = Mlp(2, Detector.HiddenUnits)
+    val w1 = Detector.fit(mlp, Examples(rows), 5L)
+    val w2 = Detector.fit(mlp, Examples(rows ++ rows), 5L)
+    assert(java.util.Arrays.equals(w1, w2))
+    val train = trainDf(noisy(200, "det-dup"))
+    assertSame(predictions(train, 5L), predictions(train.unionAll(train), 5L))
+  }
+
+  test("identical training rows merge into one weighted example in canonical order") {
+    val a = Array(0.5, 0.25); val b = Array(0.5, -0.0); val c = Array(0.5, 0.0)
+    val ex = Examples(Seq((a.clone, 1), (c, 0), (a.clone, 0), (b, 0), (a.clone, 1), (c.clone, 0)))
+    assert(ex.y.toSeq == Seq(0, 0, 0, 1))
+    assert(ex.x.map(_.toSeq).toSeq == Seq(b, c, a, a).map(_.toSeq))
+    assert(ex.weight.toSeq == Seq(1.0, 2.0, 1.0, 2.0))
+    assert(ex.totalWeight == 6.0)
+  }
+
+  test("analytic gradient matches central finite differences") {
+    // (3, 4) is the small net; (6, 5) also covers the partial tiles of Mlp.dots.
+    for ((dim, hidden) <- Seq((3, 4), (6, 5))) {
+      val mlp = Mlp(dim, hidden)
+      val ex = Examples(
+        Array.tabulate(10)(i => Array.tabulate(dim)(k => Rng.unif("gc", i, k) * 2 - 1)),
+        Array.tabulate(10)(i => i % 2),
+        Array.tabulate(10)(i => (1 + i % 3).toDouble))
+      val w = mlp.init(9L)
+      val (_, grad) = Detector.lossGrad(mlp, ex, w)
+      val eps = 1e-5
+      val fd = w.indices.map { i =>
+        val up = w.clone; up(i) += eps
+        val dn = w.clone; dn(i) -= eps
+        (Detector.lossGrad(mlp, ex, up)._1 - Detector.lossGrad(mlp, ex, dn)._1) / (2 * eps)
+      }
+      val diff = math.sqrt(grad.indices.map(i => math.pow(grad(i) - fd(i), 2)).sum)
+      val scale = math.max(math.sqrt(grad.map(g => g * g).sum), math.sqrt(fd.map(g => g * g).sum))
+      assert(diff / scale < 1e-6, s"($dim, $hidden): relative error ${diff / scale}")
+    }
+  }
+
+  test("tiled dot products equal one dot product at a time, bit for bit") {
+    val (ni, nj, nl) = (6, 7, 5)
+    val p = Array.tabulate(ni * nl)(i => Rng.unif("dots-p", i) - 0.5)
+    val q = Array.tabulate(2 + nj * nl)(i => Rng.unif("dots-q", i) - 0.5)
+    val init = Array.tabulate(ni * nj)(i => Rng.unif("dots-o", i))
+    val out = init.clone
+    Mlp.dots(p, 0, q, 2, ni, nj, nl, out)
+    for (i <- 0 until ni; j <- 0 until nj) {
+      var s = init(i * nj + j)
+      for (l <- 0 until nl) s += p(i * nl + l) * q(2 + j * nl + l)
+      assert(out(i * nj + j) == s, s"($i, $j)")
+    }
+  }
+
+  test("trainPredict starts at most one Spark job before its result is used") {
+    val sc = spark.sparkContext
+    val train = trainDf(noisy(400, "det-jobs")).repartition(3).cache()
+    train.count()
+    val groups = new java.util.concurrent.ConcurrentLinkedQueue[String]()
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit =
+        groups.add(String.valueOf(e.properties.getProperty("spark.jobGroup.id")))
+    }
+    sc.addSparkListener(listener)
+    try {
+      sc.setJobGroup("detector-fit", "trainPredict")
+      Detector.trainPredict(spark, train, noisyCells, 2, 1L)
+      // Listener events arrive in order: once this job is seen, every job
+      // trainPredict started has been seen too.
+      sc.setJobGroup("detector-drain", "drain")
+      sc.parallelize(Seq(1), 1).count()
+      val deadline = System.nanoTime() + 30L * 1000000000L
+      while (!groups.contains("detector-drain") && System.nanoTime() < deadline) Thread.sleep(10)
+      assert(groups.contains("detector-drain"), "listener did not drain")
+    } finally {
+      sc.clearJobGroup()
+      sc.removeSparkListener(listener)
+      train.unpersist()
+    }
+    val fitJobs = groups.toArray.count(_ == "detector-fit")
+    assert(fitJobs <= 1, s"$fitJobs jobs")
   }
 }

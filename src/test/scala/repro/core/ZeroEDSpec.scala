@@ -44,4 +44,13 @@ class ZeroEDSpec extends SparkSpec {
     val r2 = ZeroED.run(spark, ds)
     assert(r.metrics == r2.metrics, s"${r.metrics} vs ${r2.metrics}")
   }
+
+  test("results do not depend on how the input tables are partitioned") {
+    def run(n: Int) = ZeroED.run(spark,
+      ds.copy(dirty = ds.dirty.repartition(n), mask = ds.mask.repartition(n)))
+    val (one, six) = (run(1), run(6))
+    assert(one.metrics == six.metrics, s"${one.metrics} vs ${six.metrics}")
+    assert((one.inputTokens, one.outputTokens) == (six.inputTokens, six.outputTokens))
+    assert(one.nSampledCells == six.nSampledCells)
+  }
 }
