@@ -1,12 +1,12 @@
 package repro.baselines
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
 import repro.data.EDataset
 
 /** Katara [14]: knowledge-base powered detection. For each KB relation
   * (lhsAttr → rhsAttr), any tuple whose lhs value the KB covers but whose
-  * rhs value disagrees with the KB is flagged on the rhs cell. Datasets
+  * rhs value disagrees with the KB is flagged on the rhs cell; a cell that
+  * several relations judge is flagged when any of them flags it. Datasets
   * without an applicable KB get no detections — exactly the paper's zeros on
   * Flights/Beers/Rayyan/Movies.
   */
@@ -14,17 +14,15 @@ object Katara {
 
   def detect(spark: SparkSession, ds: EDataset): DataFrame = {
     import spark.implicits._
-    if (ds.spec.kb.isEmpty)
-      return Seq.empty[(Long, String, Boolean)].toDF("tid", "attr", "pred")
-
-    val perRelation = ds.spec.kb.map { rel =>
-      val mapping = rel.mapping
-      val flag = udf { (lhs: String, rhs: String) =>
-        mapping.get(lhs).exists(_ != rhs)
+    // Each rhs attribute with the KB relations that judge it, in KB order.
+    val kb = ds.spec.kb
+    val byRhs = kb.map(_.rhsAttr).distinct.map(a => a -> kb.filter(_.rhsAttr == a))
+    ds.dirty.flatMap { r =>
+      byRhs.map { case (rhs, rels) =>
+        val v = r.getAs[String](rhs)
+        (r.getAs[Long]("tid"), rhs,
+         rels.exists(rel => rel.mapping.get(r.getAs[String](rel.lhsAttr)).exists(_ != v)))
       }
-      ds.dirty.select($"tid", lit(rel.rhsAttr).as("attr"),
-                      flag(col(rel.lhsAttr), col(rel.rhsAttr)).as("pred"))
-    }
-    perRelation.reduce(_.unionAll(_)).groupBy("tid", "attr").agg(max("pred").as("pred"))
+    }.toDF("tid", "attr", "pred")
   }
 }

@@ -24,9 +24,11 @@ object Raha {
     val stats = CellStats.count(ds.dirty, ds.attrs, Nadeef.fdPairs(fds))
     val n = stats.n.toDouble
 
-    // Every tuple as (tid, attr→value), in partition order: the k-means input order.
+    // Every tuple as (tid, attr→value), in tid order: the k-means input order,
+    // the same however `ds.dirty` is partitioned.
     val tuples: Array[(Long, Map[String, String])] = ds.dirty.collect()
       .map(r => r.getAs[Long]("tid") -> ds.attrs.map(a => a -> r.getAs[String](a)).toMap)
+      .sortBy(_._1)
 
     // FD-violation strategy (Nadeef's constraint set and definition).
     val viol = Nadeef.fdViolations(fds, stats)

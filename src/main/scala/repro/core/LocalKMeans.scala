@@ -13,8 +13,9 @@ object LocalKMeans {
 
   final case class Result(assignments: Array[Int], centroids: Array[Array[Double]])
 
-  def fit(points: Array[Array[Double]], k: Int, seedKey: String,
-          maxIter: Int = 12): Result = {
+  private val MaxIter = 12
+
+  def fit(points: Array[Array[Double]], k: Int, seedKey: String): Result = {
     require(points.nonEmpty, "kmeans on empty input")
     val n = points.length
     val kk = math.max(1, math.min(k, n))
@@ -22,7 +23,7 @@ object LocalKMeans {
     val assign = new Array[Int](n)
     var iter = 0
     var moved = true
-    while (iter < maxIter && moved) {
+    while (iter < MaxIter && moved) {
       moved = false
       var i = 0
       while (i < n) {

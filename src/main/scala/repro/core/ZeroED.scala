@@ -2,7 +2,6 @@ package repro.core
 
 import org.apache.spark.ml.linalg.{DenseVector, Vectors}
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
 import repro.data.EDataset
 import repro.llm.{Guideline, LLMProfile, ModelProfiles, SimLLM}
 import repro.util.TokenMeter
@@ -31,10 +30,6 @@ final case class ZeroEDResult(
     inputTokens: Long,
     outputTokens: Long,
     nSampledCells: Int,
-    /** Quality of the propagated training labels themselves (diagnostic:
-      * the classifier cannot beat its teacher by much).
-      */
-    propagation: PRF,
 )
 
 /** The four-step hybrid pipeline of Section III: feature representation →
@@ -55,14 +50,10 @@ object ZeroED {
     val cellsF = FeatureModel.transform(spark, ds, model).cache()
 
     // Driver-side views for the sampled LLM workflows (datasets are small;
-    // DESIGN.md § Spark layering).
+    // DESIGN.md § Spark layering); cells and tuples from one collect of cellsF.
     val attrCells: Map[String, Labeling.AttrCells] = collectCells(cellsF, ds)
-    val rowCtx: Map[Long, Map[String, String]] = ds.dirty.collect().map { r =>
-      r.getAs[Long]("tid") -> ds.attrs.map(a => a -> r.getAs[String](a)).toMap
-    }.toMap
-    val errTypes: Map[(Long, String), String] = ds.mask.collect().map { r =>
-      (r.getAs[Long]("tid"), r.getAs[String]("attr")) -> r.getAs[String]("err_type")
-    }.toMap
+    val rowCtx = tupleContext(attrCells, ds.attrs)
+    val errTypes = SimLLM.errorTypes(ds.mask)
 
     // ---- step 2: clustering-based sampling + guideline-driven labeling
     val s = Sampling.clusterCount(rowCtx.size.toLong, cfg.labelRate)
@@ -90,24 +81,24 @@ object ZeroED {
 
     // ---- step 4: detector training and full prediction (Section III-D)
     import spark.implicits._
-    val labelsDf = outcome.labels.toDF("tid", "attr", "label", "keep")
-    val propagatedTrain = cellsF.join(labelsDf.where($"keep"), Seq("tid", "attr"))
-      .select($"features", when($"label", 1.0).otherwise(0.0).as("label"))
-    val augTrain = outcome.augmented
-      .map(a => (Vectors.dense(a.features).asInstanceOf[org.apache.spark.ml.linalg.Vector], 1.0))
-      .toDF("features", "label")
-    val train = propagatedTrain.unionAll(augTrain)
+    val propagated = outcome.labels.filter(_.keep).map { c =>
+      val cells = attrCells(c.attr)
+      (Vectors.dense(cells.feats(java.util.Arrays.binarySearch(cells.tids, c.tid))),
+       if (c.label) 1.0 else 0.0)
+    }
+    val augmented = outcome.augmented.map(a => (Vectors.dense(a.features), 1.0))
+    val train = (propagated ++ augmented).toDF("features", "label")
 
     val pred = Detector.trainPredict(spark, train, cellsF, model.totalDim, cfg.seed)
     val prf = Metrics.evaluate(pred, ds.mask)
-    val propPrf = Metrics.evaluate(
-      labelsDf.select($"tid", $"attr", $"label".as("pred")), ds.mask)
 
     cellsF.unpersist()
-    ZeroEDResult(prf, meter.inputTokens, meter.outputTokens, sampleLabels.size, propPrf)
+    ZeroEDResult(prf, meter.inputTokens, meter.outputTokens, sampleLabels.size)
   }
 
-  /** Collect the featurized cell table into per-attribute parallel arrays. */
+  /** Collect the featurized cell table into per-attribute parallel arrays sorted
+    * by tid; each holds every tuple, so index `i` is one tuple in every attribute.
+    */
   def collectCells(cellsF: DataFrame, ds: EDataset): Map[String, Labeling.AttrCells] = {
     val rows = cellsF.collect()
     val grouped = rows.groupBy(_.getAs[String]("attr"))
@@ -118,5 +109,12 @@ object ZeroED {
         rs.map(_.getAs[String]("value")),
         rs.map(_.getAs[DenseVector]("features").toArray))
     }.toMap
+  }
+
+  /** Every tuple's attribute values, read from the collected cells. */
+  private[core] def tupleContext(attrCells: Map[String, Labeling.AttrCells],
+                                 attrs: Seq[String]): Map[Long, Map[String, String]] = {
+    val tids = attrCells(attrs.head).tids
+    tids.indices.map(i => tids(i) -> attrs.map(a => a -> attrCells(a).values(i)).toMap).toMap
   }
 }

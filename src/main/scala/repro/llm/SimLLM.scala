@@ -1,5 +1,6 @@
 package repro.llm
 
+import org.apache.spark.sql.DataFrame
 import repro.data.ErrorInjector
 import repro.util.{Rng, TokenMeter}
 
@@ -20,6 +21,13 @@ object SimLLM {
     */
   final case class Cell(tid: Long, attr: String, value: String,
                         ctx: Map[String, String], errType: String)
+
+  /** The simulator's ground truth: the error type of each erroneous cell of an
+    * error mask. Clean cells are absent; look cells up with `getOrElse(_, "")`.
+    */
+  def errorTypes(mask: DataFrame): Map[(Long, String), String] =
+    mask.where("is_error").select("tid", "attr", "err_type").collect()
+      .map(r => (r.getLong(0), r.getString(1)) -> r.getString(2)).toMap
 
   // ------------------------------------------------------------ generation
 
@@ -84,8 +92,8 @@ object SimLLM {
   // ------------------------------------------------------- FM_ED baseline
 
   /** FM_ED's per-tuple prompt: judge every cell of one serialized tuple in
-    * isolation. Executor-safe (used from a DataFrame UDF); meters the whole
-    * tuple prompt once plus the yes/no response.
+    * isolation. Executor-safe (called once per tuple on the executors);
+    * meters the whole tuple prompt once plus the yes/no response.
     */
   def fmedTuple(profile: LLMProfile, meter: TokenMeter, dataset: String,
                 tid: Long, attrs: Seq[String], values: Seq[String],

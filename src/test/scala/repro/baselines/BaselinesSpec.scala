@@ -1,10 +1,16 @@
 package repro.baselines
 
 import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.execution.{GenerateExec, SparkPlan, UnionExec}
+import org.apache.spark.sql.execution.adaptive.{AdaptiveSparkPlanExec, QueryStageExec}
+import org.apache.spark.sql.execution.columnar.InMemoryTableScanExec
+import org.apache.spark.sql.execution.exchange.Exchange
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec, TestData}
 import repro.core.{CellStats, Metrics}
 import repro.data.{Datasets, EDataset, FD}
+import repro.llm.{ModelProfiles, SimLLM}
+import repro.util.TokenMeter
 
 class BaselinesSpec extends SparkSpec {
 
@@ -21,6 +27,28 @@ class BaselinesSpec extends SparkSpec {
     Seq(fd.lhs, fd.rhs).map(a =>
       s"""SELECT d.tid AS tid, '$a' AS attr FROM d JOIN ($bad) b ON d."${fd.lhs}" = b.k""")
   }.mkString("\nUNION\n")
+
+  /** Every node of the physical plan `df` runs, through adaptive query
+    * stages and cached relations.
+    */
+  private def physicalNodes(df: DataFrame): Seq[SparkPlan] = {
+    def nodes(p: SparkPlan): Seq[SparkPlan] = p +: (p match {
+      case a: AdaptiveSparkPlanExec => nodes(a.executedPlan)
+      case q: QueryStageExec        => nodes(q.plan)
+      case m: InMemoryTableScanExec => nodes(m.relation.cachedPlan)
+      case _                        => p.children.flatMap(nodes)
+    })
+    nodes(df.queryExecution.executedPlan)
+  }
+
+  /** A plan is one pass over the tuples: no union, shuffle or generator. */
+  private def assertOnePass(df: DataFrame): Unit = {
+    val extra = physicalNodes(df).filter {
+      case _: UnionExec | _: Exchange | _: GenerateExec => true
+      case _                                            => false
+    }
+    assert(extra.isEmpty, df.queryExecution.executedPlan.treeString)
+  }
 
   // ------------------------------------------------------------------ dBoost
   test("dBoost predicts for every cell") {
@@ -105,6 +133,10 @@ class BaselinesSpec extends SparkSpec {
     assert(flagged.subsetOf(hospital.spec.kb.map(_.rhsAttr).toSet))
   }
 
+  test("Katara is one pass over the tuples") {
+    assertOnePass(Katara.detect(spark, hospital))
+  }
+
   // ------------------------------------------------------------- ActiveClean
   test("ActiveClean produces predictions for every cell") {
     val pred = ActiveClean.detect(spark, flights)
@@ -127,6 +159,24 @@ class BaselinesSpec extends SparkSpec {
   test("Raha with 2 labeled tuples has bounded recall (paper Fig. 6)") {
     val m = Metrics.evaluate(Raha.detect(spark, flights), flights.mask)
     assert(m.recall < 0.9, s"Raha recall too high for 2 labels: $m")
+  }
+
+  // ------------------------------------------------------------ partitioning
+  test("predictions do not depend on how the input tables are partitioned") {
+    val ds = TestData.get(spark, "flights", 1.0)
+    def preds(n: Int, detect: EDataset => DataFrame) =
+      detect(ds.copy(dirty = ds.dirty.repartition(n), mask = ds.mask.repartition(n)))
+        .collect().map(r => (r.getAs[Long]("tid"), r.getAs[String]("attr"),
+                             r.getAs[Boolean]("pred"))).toSet
+    val detectors = Seq[(String, EDataset => DataFrame)](
+      "dBoost" -> (DBoost.detect(spark, _)), "Nadeef" -> (Nadeef.detect(spark, _)),
+      "Katara" -> (Katara.detect(spark, _)), "ActiveClean" -> (ActiveClean.detect(spark, _)),
+      "Raha" -> (Raha.detect(spark, _)))
+    for ((name, detect) <- detectors) {
+      val (one, six) = (preds(1, detect), preds(6, detect))
+      val differ = (one diff six).size
+      assert(differ == 0 && one.size == six.size, s"$name differs on $differ cells")
+    }
   }
 
   // ------------------------------------------------------------------ caching
@@ -155,6 +205,26 @@ class BaselinesSpec extends SparkSpec {
     val byType = Metrics.evaluateByType(r.pred, flights.mask)
     assert(byType("MV").recall > 0.8, s"MV ${byType("MV")}")
     assert(byType("RV").recall < 0.4, s"RV ${byType("RV")}")
+  }
+
+  test("FM_ED meters one LLM call per tuple") {
+    val r = FMED.detect(spark, flights)
+    val errTypes = flights.mask.collect().map(m =>
+      (m.getAs[Long]("tid"), m.getAs[String]("attr")) -> m.getAs[String]("err_type")).toMap
+    val attrs = flights.attrs
+    val once = TokenMeter.local()
+    flights.dirty.collect().foreach { row =>
+      val tid = row.getAs[Long]("tid")
+      SimLLM.fmedTuple(ModelProfiles.fmEd, once, flights.name, tid, attrs,
+        attrs.map(row.getAs[String](_)), attrs.map(a => errTypes((tid, a))))
+    }
+    assert((r.inputTokens, r.outputTokens) == (once.inputTokens, once.outputTokens))
+  }
+
+  test("FM_ED is one pass over the tuples") {
+    val r = FMED.detect(spark, flights)
+    assertOnePass(r.pred)
+    r.pred.unpersist()
   }
 
   test("FM_ED input tokens scale with dataset size") {

@@ -2,6 +2,7 @@ package repro.core
 
 import repro.{SparkSpec, TestData}
 import repro.llm.ModelProfiles
+import repro.util.TokenMeter
 
 /** Pipeline-level behavior beyond the smoke run (small scales for speed). */
 class ZeroEDSpec extends SparkSpec {
@@ -43,6 +44,16 @@ class ZeroEDSpec extends SparkSpec {
     assert(r.inputTokens > 0 && r.outputTokens > 0)
     val r2 = ZeroED.run(spark, ds)
     assert(r.metrics == r2.metrics, s"${r.metrics} vs ${r2.metrics}")
+  }
+
+  test("tupleContext rebuilds every tuple from the collected cells") {
+    val model = FeatureModel.fit(spark, ds, Correlation.topK(ds.dirty, ds.attrs, 2),
+                                 ModelProfiles.qwen72b, TokenMeter.local(), FeatureOpts())
+    val cells = ZeroED.collectCells(FeatureModel.transform(spark, ds, model), ds)
+    val rows = ds.dirty.collect().map { r =>
+      r.getAs[Long]("tid") -> ds.attrs.map(a => a -> r.getAs[String](a)).toMap
+    }.toMap
+    assert(ZeroED.tupleContext(cells, ds.attrs) == rows)
   }
 
   test("results do not depend on how the input tables are partitioned") {

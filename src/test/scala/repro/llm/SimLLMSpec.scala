@@ -1,9 +1,9 @@
 package repro.llm
 
-import org.scalatest.funsuite.AnyFunSuite
+import repro.{SparkSpec, TestData}
 import repro.util.TokenMeter
 
-class SimLLMSpec extends AnyFunSuite {
+class SimLLMSpec extends SparkSpec {
 
   private val p = ModelProfiles.qwen72b
 
@@ -123,5 +123,14 @@ class SimLLMSpec extends AnyFunSuite {
     val weak = (0 until 10).map(r => SimLLM.reasonCriteria(ModelProfiles.qwen7b,
       m, s"s$r", "a", samples, Seq("b")).size).sum
     assert(strong >= weak)
+  }
+
+  test("errorTypes holds exactly the mask's error cells") {
+    val mask = TestData.hospitalSmall(spark).mask
+    val errors = mask.collect().filter(_.getAs[Boolean]("is_error")).map { r =>
+      (r.getAs[Long]("tid"), r.getAs[String]("attr")) -> r.getAs[String]("err_type")
+    }.toMap
+    assert(errors.nonEmpty && errors.values.forall(_.nonEmpty))
+    assert(SimLLM.errorTypes(mask) == errors)
   }
 }
