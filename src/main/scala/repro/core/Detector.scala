@@ -205,9 +205,9 @@ private[core] object Examples {
 
 /** The final ED classifier (Section III-D): a [dim, 32, 2] MLP trained with
   * cross-entropy over the unified cell features, predicting clean/dirty for
-  * every cell of the dataset. The training set is small (tens of thousands of
-  * rows), so it is collected once and fitted on the driver with L-BFGS;
-  * prediction is a lazy per-cell UDF over the fitted weights.
+  * every cell of the dataset. `fit` trains on rows held by the driver (tens
+  * of thousands) with L-BFGS and returns the predictor; `trainPredict` is its
+  * DataFrame adapter: one collect, then a per-cell UDF over the predictor.
   */
 object Detector {
 
@@ -221,26 +221,27 @@ object Detector {
     */
   private val BlockSize = 64
 
+  /** Fit on (features, is-error) rows and return the predictor. The fit
+    * depends only on the multiset of rows; with fewer than two classes, which
+    * an MLP cannot fit, it predicts the one class (clean when there are none).
+    */
+  def fit(rows: Seq[(Array[Double], Boolean)], dim: Int, seed: Long): Array[Double] => Boolean = {
+    val classes = rows.map(_._2).distinct
+    if (classes.size < 2) { val only = classes.contains(true); return _ => only }
+    val mlp = Mlp(dim, HiddenUnits)
+    val w = weights(mlp, Examples(rows.map { case (x, err) => (x, if (err) 1 else 0) }), seed)
+    x => mlp.isError(w, x)
+  }
+
   /** Train on (features, label) and predict every cell of `cellsF`
     * (tid, attr, value, features). Returns (tid, attr, pred).
-    *
-    * The fit depends only on the multiset of training rows, not on how
-    * `train` is partitioned. Degenerate single-class (or empty) training data
-    * short-circuits to the constant prediction (an MLP cannot be fit on one
-    * class).
     */
   def trainPredict(spark: SparkSession, train: DataFrame, cellsF: DataFrame,
                    dim: Int, seed: Long): DataFrame = {
     val rows = train.select("features", "label").collect()
-      .map(r => (r.getAs[Vector](0).toArray, if (r.getDouble(1) == 1.0) 1 else 0))
-    val classes = rows.map(_._2).distinct
-    if (classes.length < 2) {
-      val only = classes.headOption.contains(1)
-      return cellsF.select(col("tid"), col("attr"), lit(only).as("pred"))
-    }
-    val mlp = Mlp(dim, HiddenUnits)
-    val w = fit(mlp, Examples(rows.toSeq), seed)
-    val isError = udf((v: Vector) => mlp.isError(w, v.toArray))
+      .map(r => (r.getAs[Vector](0).toArray, r.getDouble(1) == 1.0))
+    val predict = fit(rows.toSeq, dim, seed)
+    val isError = udf((v: Vector) => predict(v.toArray))
     cellsF.select(col("tid"), col("attr"), isError(col("features")).as("pred"))
   }
 
@@ -271,7 +272,7 @@ object Detector {
   }
 
   /** Minimize `lossGrad` with L-BFGS from the `Rng` initialization. */
-  private[core] def fit(mlp: Mlp, ex: Examples, seed: Long): Array[Double] = {
+  private[core] def weights(mlp: Mlp, ex: Examples, seed: Long): Array[Double] = {
     val f = new DiffFunction[BDV[Double]] {
       def calculate(x: BDV[Double]): (Double, BDV[Double]) = {
         val (loss, grad) = lossGrad(mlp, ex, x.toArray)

@@ -168,11 +168,8 @@ object FeatureModel {
                      criteria, dists, n, opts)
   }
 
-  /** Deterministic random sample of tuples as attr→value maps. */
-  def sampleTuples(ds: EDataset, size: Int): Seq[Map[String, String]] =
-    sampleTuples(ds, size, ds.dirty.count())
-
-  private def sampleTuples(ds: EDataset, size: Int, n: Long): Seq[Map[String, String]] = {
+  /** Deterministic random sample of at most `size` of the `n` tuples as attr→value maps. */
+  private[core] def sampleTuples(ds: EDataset, size: Int, n: Long): Seq[Map[String, String]] = {
     val frac = math.min(1.0, size * 3.0 / math.max(1L, n))
     val dsName = ds.name
     val keep = udf((tid: Long) => Rng.bool(frac, dsName, "critSample", tid))

@@ -11,8 +11,8 @@ import repro.util.TokenMeter
   */
 object Labeling {
 
-  /** One attribute's cells collected to the driver for the sampled workflows:
-    * parallel arrays of tuple id, raw value, and unified feature vector.
+  /** One attribute's cells on the driver, read by the sampled workflows and
+    * by the detector: parallel arrays of tuple id, raw value, feature vector.
     */
   final case class AttrCells(attr: String, tids: Array[Long],
                              values: Array[String], feats: Array[Array[Double]]) {

@@ -35,6 +35,13 @@ object Metrics {
     */
   def evaluate(pred: DataFrame, mask: DataFrame): PRF = confusion(pred, mask)(0)._2
 
+  /** Driver-side counts of one prediction per cell; an unpredicted error is missed. */
+  def count(pred: Iterable[((Long, String), Boolean)], errors: Set[(Long, String)]): PRF = {
+    val (flagged, clean) = pred.partition(_._2)
+    val tp = flagged.count(p => errors(p._1))
+    PRF(tp, flagged.size - tp, errors.size - tp, clean.count(p => !errors(p._1)))
+  }
+
   /** Per-error-type recall-oriented breakdown (Fig. 11-style diagnostics):
     * for each injected type, the F1 restricted to cells that are either clean
     * or of that type: that type's counts plus those of the clean (`""`) group.

@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.ml.linalg.{DenseVector, Vectors}
+import org.apache.spark.ml.linalg.DenseVector
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.data.EDataset
 import repro.llm.{Guideline, LLMProfile, ModelProfiles, SimLLM}
@@ -47,22 +47,20 @@ object ZeroED {
     val opts = FeatureOpts(corrK = cfg.corrK, useCriteria = cfg.useCriteria,
                            useCorr = cfg.useCorr)
     val model = FeatureModel.fit(spark, ds, corr, cfg.profile, meter, opts)
-    val cellsF = FeatureModel.transform(spark, ds, model).cache()
 
-    // Driver-side views for the sampled LLM workflows (datasets are small;
-    // DESIGN.md § Spark layering); cells and tuples from one collect of cellsF.
-    val attrCells: Map[String, Labeling.AttrCells] = collectCells(cellsF, ds)
+    // Driver-side views for steps 2–4, from one collect (DESIGN.md § Spark layering).
+    val attrCells = collectCells(FeatureModel.transform(spark, ds, model), ds)
     val rowCtx = tupleContext(attrCells, ds.attrs)
     val errTypes = SimLLM.errorTypes(ds.mask)
 
     // ---- step 2: clustering-based sampling + guideline-driven labeling
     val s = Sampling.clusterCount(rowCtx.size.toLong, cfg.labelRate)
     implicit val ec: ExecutionContext = ExecutionContext.global
-    val clusters: Map[String, Sampling.AttrClusters] =
-      Await.result(Future.traverse(ds.attrs.toSeq) { a =>
-        Future(a -> Sampling.cluster(cfg.clusterMethod, a, attrCells(a).feats, s,
-                                     s"${ds.name}:${cfg.seed}"))
-      }, Duration.Inf).toMap
+    def perAttr[T](f: String => T): Seq[(String, T)] =  // attributes in parallel
+      Await.result(Future.traverse(ds.attrs.toSeq)(a => Future(a -> f(a))), Duration.Inf)
+    val clusters: Map[String, Sampling.AttrClusters] = perAttr { a =>
+      Sampling.cluster(cfg.clusterMethod, a, attrCells(a).feats, s, s"${ds.name}:${cfg.seed}")
+    }.toMap
 
     val guidelines: Map[String, Guideline] =
       if (!cfg.useGuidelines) Map.empty
@@ -79,20 +77,17 @@ object ZeroED {
     val outcome = TrainData.construct(cfg.profile, meter, ds.name, model,
       attrCells, clusters, sampleLabels, rowCtx, corr, cfg.useVerify)
 
-    // ---- step 4: detector training and full prediction (Section III-D)
-    import spark.implicits._
-    val propagated = outcome.labels.filter(_.keep).map { c =>
-      val cells = attrCells(c.attr)
-      (Vectors.dense(cells.feats(java.util.Arrays.binarySearch(cells.tids, c.tid))),
-       if (c.label) 1.0 else 0.0)
-    }
-    val augmented = outcome.augmented.map(a => (Vectors.dense(a.features), 1.0))
-    val train = (propagated ++ augmented).toDF("features", "label")
-
-    val pred = Detector.trainPredict(spark, train, cellsF, model.totalDim, cfg.seed)
-    val prf = Metrics.evaluate(pred, ds.mask)
-
-    cellsF.unpersist()
+    // ---- step 4: detector training and full prediction (Section III-D), on the driver
+    val tids = attrCells(ds.attrs.head).tids  // shared by every attribute
+    val kept = outcome.labels.filter(_.keep)
+      .map(c => (attrCells(c.attr).feats(java.util.Arrays.binarySearch(tids, c.tid)), c.label))
+    val predict = Detector.fit(kept ++ outcome.augmented.map(a => (a.features, true)),
+                               model.totalDim, cfg.seed)
+    val pred = perAttr { a =>
+      val c = attrCells(a)
+      c.tids.indices.map(i => (c.tids(i), a) -> predict(c.feats(i)))
+    }.flatMap(_._2)
+    val prf = Metrics.count(pred, errTypes.keySet)
     ZeroEDResult(prf, meter.inputTokens, meter.outputTokens, sampleLabels.size)
   }
 

@@ -112,8 +112,8 @@ class DetectorSpec extends SparkSpec {
   test("duplicating every training row leaves weights and predictions bit-identical") {
     val rows = noisy(200, "det-dup").map { case (x, l) => (x, l.toInt) }
     val mlp = Mlp(2, Detector.HiddenUnits)
-    val w1 = Detector.fit(mlp, Examples(rows), 5L)
-    val w2 = Detector.fit(mlp, Examples(rows ++ rows), 5L)
+    val w1 = Detector.weights(mlp, Examples(rows), 5L)
+    val w2 = Detector.weights(mlp, Examples(rows ++ rows), 5L)
     assert(java.util.Arrays.equals(w1, w2))
     val train = trainDf(noisy(200, "det-dup"))
     assertSame(predictions(train, 5L), predictions(train.unionAll(train), 5L))

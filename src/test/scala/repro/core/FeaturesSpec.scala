@@ -172,7 +172,7 @@ class FeaturesSpec extends SparkSpec {
   }
 
   test("sampleTuples returns full attr maps") {
-    val s = FeatureModel.sampleTuples(ds, 10)
+    val s = FeatureModel.sampleTuples(ds, 10, ds.dirty.count())
     assert(s.nonEmpty && s.size <= 10)
     s.foreach(m => assert(m.keySet == ds.attrs.toSet))
   }

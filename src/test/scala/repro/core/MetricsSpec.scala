@@ -16,6 +16,16 @@ class MetricsSpec extends SparkSpec {
     assert(PRF(0, 0, 0, 10).precision == 0.0)
     assert(PRF(0, 0, 0, 10).recall == 0.0)
     assert(PRF(0, 0, 0, 10).f1 == 0.0)
+    val cells = (0L until 1000L).map(t => (t, "a"))
+    // No error cells (a near-zero error rate at small scale): flags are all false positives.
+    val noErrors = Metrics.count(cells.map(c => c -> (c._1 % 100 == 0)), Set.empty)
+    assert(noErrors == PRF(tp = 0, fp = 10, fn = 0, tn = 990))
+    // No flagged cells: every error is missed.
+    val noFlags = Metrics.count(cells.map(_ -> false), Set((1L, "a"), (2L, "a")))
+    assert(noFlags == PRF(tp = 0, fp = 0, fn = 2, tn = 998))
+    for (m <- Seq(noErrors, noFlags)) {
+      assert(m.precision == 0.0 && m.recall == 0.0 && m.f1 == 0.0, m.toString)
+    }
   }
 
   private def maskDf(rows: Seq[(Long, String, Boolean, String)]) = {
@@ -58,6 +68,9 @@ class MetricsSpec extends SparkSpec {
     val mask = maskDf(rows.map { case (t, a, e, _) => (t, a, e, if (e) "T" else "") })
     val pred = predDf(preds)
     val m = Metrics.evaluate(pred, mask)
+    val errors = rows.collect { case (t, a, true, _) => (t, a) }.toSet
+    val driver = Metrics.count(preds.map { case (t, a, p) => (t, a) -> p }, errors)
+    assert(driver == m, s"driver count $driver vs evaluate $m")
     import spark.implicits._
     val sparkCounts = Seq((m.tp, m.fp, m.fn, m.tn)).toDF("tp", "fp", "fn", "tn")
     Oracle.assertEquivalent(sparkCounts,

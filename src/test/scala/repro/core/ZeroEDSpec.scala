@@ -46,6 +46,24 @@ class ZeroEDSpec extends SparkSpec {
     assert(r.metrics == r2.metrics, s"${r.metrics} vs ${r2.metrics}")
   }
 
+  test("golden: the default run on hospitalSmall keeps its outputs") {
+    // Pinned outputs: a change to any of them is a change of behaviour, which
+    // a refactor must not make.
+    val r = default
+    assert(r.metrics == PRF(tp = 108, fp = 21, fn = 99, tn = 3772), r.metrics.toString)
+    assert((r.inputTokens, r.outputTokens) == (72176L, 15398L))
+    assert(r.nSampledCells == 200)
+  }
+
+  test("a run reads the mask once") {
+    val reads = spark.sparkContext.longAccumulator("mask-partition-reads")
+    val mask = spark.createDataFrame(
+      ds.mask.rdd.mapPartitions { it => reads.add(1); it }, ds.mask.schema)
+    ZeroED.run(spark, ds.copy(mask = mask))
+    val parts = mask.rdd.getNumPartitions
+    assert(reads.value == parts, s"${reads.value} partition reads of a $parts-partition mask")
+  }
+
   test("tupleContext rebuilds every tuple from the collected cells") {
     val model = FeatureModel.fit(spark, ds, Correlation.topK(ds.dirty, ds.attrs, 2),
                                  ModelProfiles.qwen72b, TokenMeter.local(), FeatureOpts())
