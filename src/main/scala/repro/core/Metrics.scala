@@ -1,7 +1,7 @@
 package repro.core
 
-import org.apache.spark.sql.{Column, DataFrame, Row}
-import org.apache.spark.sql.functions._
+import org.apache.spark.sql.{DataFrame, Row}
+import org.apache.spark.sql.functions.col
 
 /** Cell-level detection quality (Section IV-A): precision, recall, F1 over
   * the ground-truth error mask.
@@ -18,37 +18,22 @@ final case class PRF(tp: Long, fp: Long, fn: Long, tn: Long) {
 
 object Metrics {
 
-  /** The confusion counts of `pred` against the mask, one per group of the
-    * mask's `by` columns. Cells without a prediction count as clean.
-    */
-  private def confusion(pred: DataFrame, mask: DataFrame, by: String*): Array[(Row, PRF)] = {
-    val (e, p, k) = (col("is_error"), coalesce(col("pred"), lit(false)), by.size)
-    val n = (c: Column) => sum(when(c, 1L).otherwise(0L))
-    mask.select("tid", "attr" +: "is_error" +: by: _*)
-      .join(pred.select("tid", "attr", "pred"), Seq("tid", "attr"), "left")
-      .groupBy(by.map(col): _*).agg(n(e && p), n(!e && p), n(e && !p), n(!e && !p))
-      .collect().map(r => r -> PRF(r.getLong(k), r.getLong(k + 1), r.getLong(k + 2), r.getLong(k + 3)))
-  }
-
   /** Evaluate predictions (tid, attr, pred) against the mask
-    * (tid, attr, is_error). Cells without a prediction count as clean.
+    * (tid, attr, is_error): collects the flagged cells and the mask, then
+    * `count`s. Only the mask's cells are scored; a cell without a prediction,
+    * or with a null `pred`, counts as clean.
     */
-  def evaluate(pred: DataFrame, mask: DataFrame): PRF = confusion(pred, mask)(0)._2
+  def evaluate(pred: DataFrame, mask: DataFrame): PRF = {
+    val cell = (r: Row) => (r.getLong(0), r.getString(1))
+    val flagged = pred.where(col("pred")).select("tid", "attr").collect().map(cell).toSet
+    val cells = mask.select("tid", "attr", "is_error").collect().map(r => cell(r) -> r.getBoolean(2))
+    count(cells.map { case (c, _) => c -> flagged(c) }, cells.collect { case (c, true) => c }.toSet)
+  }
 
   /** Driver-side counts of one prediction per cell; an unpredicted error is missed. */
   def count(pred: Iterable[((Long, String), Boolean)], errors: Set[(Long, String)]): PRF = {
     val (flagged, clean) = pred.partition(_._2)
     val tp = flagged.count(p => errors(p._1))
     PRF(tp, flagged.size - tp, errors.size - tp, clean.count(p => !errors(p._1)))
-  }
-
-  /** Per-error-type recall-oriented breakdown (Fig. 11-style diagnostics):
-    * for each injected type, the F1 restricted to cells that are either clean
-    * or of that type: that type's counts plus those of the clean (`""`) group.
-    */
-  def evaluateByType(pred: DataFrame, mask: DataFrame): Map[String, PRF] = {
-    val groups = confusion(pred, mask, "err_type").map { case (r, m) => r.getString(0) -> m }.toMap
-    val c = groups.getOrElse("", PRF(0, 0, 0, 0))
-    (groups - "").map { case (t, m) => t -> PRF(m.tp + c.tp, m.fp + c.fp, m.fn + c.fn, m.tn + c.tn) }
   }
 }

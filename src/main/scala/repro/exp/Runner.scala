@@ -59,7 +59,9 @@ object Runner {
         r.pred
       case other => throw new IllegalArgumentException(s"unknown baseline $other")
     }
-    Metrics.evaluate(pred, ds.mask)
+    val prf = Metrics.evaluate(pred, ds.mask)
+    pred.unpersist() // FM_ED caches its predictions
+    prf
   }
 
   private val fmedTok = scala.collection.mutable.Map.empty[String, (Long, Long)]

@@ -24,8 +24,6 @@ final class TokenMeter(val input: LongAccumulator, val output: LongAccumulator)
   def inputTokens: Long  = input.value
   def outputTokens: Long = output.value
   def totalTokens: Long  = inputTokens + outputTokens
-
-  def reset(): Unit = { input.reset(); output.reset() }
 }
 
 object TokenMeter {

@@ -1,5 +1,7 @@
 package repro
 
+import java.util.concurrent.{CountDownLatch, TimeUnit}
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.apache.spark.sql.SparkSession
 import org.scalatest.BeforeAndAfterAll
 import org.scalatest.funsuite.AnyFunSuite
@@ -16,6 +18,34 @@ trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared
 
   override def afterAll(): Unit = { super.afterAll() }
+
+  /** Runs `body` with `listener` registered and returns once the listener has
+    * seen every event `body` caused. Listener events arrive in order, so once
+    * a marker job started after `body` is seen, every earlier job, stage and
+    * task event has been seen too.
+    */
+  def listening[A](listener: SparkListener)(body: => A): A = {
+    val sc = spark.sparkContext
+    val drained = new CountDownLatch(1)
+    val marker = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit =
+        if (Option(e.properties).exists(_.getProperty("spark.jobGroup.id") == "drain"))
+          drained.countDown()
+    }
+    sc.addSparkListener(listener)
+    sc.addSparkListener(marker)
+    try {
+      val out = body
+      sc.setJobGroup("drain", "drain")
+      sc.parallelize(Seq(1), 1).count()
+      assert(drained.await(30, TimeUnit.SECONDS), "listener did not drain")
+      out
+    } finally {
+      sc.clearJobGroup()
+      sc.removeSparkListener(marker)
+      sc.removeSparkListener(listener)
+    }
+  }
 }
 
 object SparkSpec {

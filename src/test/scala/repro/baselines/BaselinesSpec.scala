@@ -202,9 +202,13 @@ class BaselinesSpec extends SparkSpec {
 
   test("FM_ED catches missing values but misses rule violations") {
     val r = FMED.detect(spark, flights)
-    val byType = Metrics.evaluateByType(r.pred, flights.mask)
-    assert(byType("MV").recall > 0.8, s"MV ${byType("MV")}")
-    assert(byType("RV").recall < 0.4, s"RV ${byType("RV")}")
+    val flagged = r.pred.where(col("pred")).select("tid", "attr").collect()
+      .map(p => (p.getLong(0), p.getString(1))).toSet
+    val recall = SimLLM.errorTypes(flights.mask).groupBy(_._2).map { case (t, cells) =>
+      t -> cells.keys.count(flagged).toDouble / cells.size
+    }
+    assert(recall("MV") > 0.8, s"MV ${recall("MV")}")
+    assert(recall("RV") < 0.4, s"RV ${recall("RV")}")
   }
 
   test("FM_ED meters one LLM call per tuple") {

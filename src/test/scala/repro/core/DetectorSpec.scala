@@ -173,22 +173,10 @@ class DetectorSpec extends SparkSpec {
       override def onJobStart(e: SparkListenerJobStart): Unit =
         groups.add(String.valueOf(e.properties.getProperty("spark.jobGroup.id")))
     }
-    sc.addSparkListener(listener)
-    try {
+    try listening(listener) {
       sc.setJobGroup("detector-fit", "trainPredict")
       Detector.trainPredict(spark, train, noisyCells, 2, 1L)
-      // Listener events arrive in order: once this job is seen, every job
-      // trainPredict started has been seen too.
-      sc.setJobGroup("detector-drain", "drain")
-      sc.parallelize(Seq(1), 1).count()
-      val deadline = System.nanoTime() + 30L * 1000000000L
-      while (!groups.contains("detector-drain") && System.nanoTime() < deadline) Thread.sleep(10)
-      assert(groups.contains("detector-drain"), "listener did not drain")
-    } finally {
-      sc.clearJobGroup()
-      sc.removeSparkListener(listener)
-      train.unpersist()
-    }
+    } finally train.unpersist()
     val fitJobs = groups.toArray.count(_ == "detector-fit")
     assert(fitJobs <= 1, s"$fitJobs jobs")
   }

@@ -1,6 +1,7 @@
 package repro.core
 
-import org.apache.spark.sql.functions._
+import java.util.concurrent.atomic.AtomicLong
+import org.apache.spark.scheduler.{SparkListener, SparkListenerTaskEnd}
 import repro.{Oracle, SparkSpec}
 
 class MetricsSpec extends SparkSpec {
@@ -51,6 +52,27 @@ class MetricsSpec extends SparkSpec {
     val pred = predDf(Seq.empty)
     val m = Metrics.evaluate(pred, mask)
     assert(m == PRF(tp = 0, fp = 0, fn = 1, tn = 1))
+    // Flagged cells outside a restricted mask are not scored.
+    val outside = predDf(Seq((0L, "a", true), (2L, "a", true), (0L, "b", true)))
+    assert(Metrics.evaluate(outside, mask) == PRF(tp = 1, fp = 0, fn = 0, tn = 1))
+    // A null prediction counts as clean.
+    import spark.implicits._
+    val nulls = Seq((0L, "a", Option.empty[Boolean]), (1L, "a", Option.empty[Boolean]))
+      .toDF("tid", "attr", "pred")
+    assert(Metrics.evaluate(nulls, mask) == PRF(tp = 0, fp = 0, fn = 1, tn = 1))
+  }
+
+  test("evaluate writes no shuffle data") {
+    val rows = (0L until 200L).map(i => (i, "a", i % 7 == 0, if (i % 7 == 0) "T" else ""))
+    val mask = maskDf(rows)
+    val pred = predDf(rows.map { case (t, a, e, _) => (t, a, e) })
+    val written = new AtomicLong
+    val listener = new SparkListener {
+      override def onTaskEnd(e: SparkListenerTaskEnd): Unit =
+        Option(e.taskMetrics).foreach(m => written.addAndGet(m.shuffleWriteMetrics.bytesWritten))
+    }
+    assert(listening(listener)(Metrics.evaluate(pred, mask)).f1 == 1.0)
+    assert(written.get == 0L, s"${written.get} shuffle bytes written")
   }
 
   test("perfect prediction yields F1 = 1") {
@@ -81,15 +103,5 @@ class MetricsSpec extends SparkSpec {
         |  sum(CASE WHEN m.is_error='false' AND p.pred='false' THEN 1 ELSE 0 END) AS tn
         |FROM m JOIN p ON m.tid = p.tid AND m.attr = p.attr""".stripMargin,
       "m" -> mask, "p" -> pred)
-  }
-
-  test("evaluateByType restricts negatives to clean cells plus the type") {
-    val mask = maskDf(Seq((0L, "a", true, "T"), (1L, "a", true, "MV"),
-                          (2L, "a", false, ""), (3L, "a", false, "")))
-    val pred = predDf(Seq((0L, "a", true), (1L, "a", false), (2L, "a", false), (3L, "a", true)))
-    val byType = Metrics.evaluateByType(pred, mask)
-    assert(byType.keySet == Set("T", "MV"))
-    assert(byType("T") == PRF(tp = 1, fp = 1, fn = 0, tn = 1))
-    assert(byType("MV") == PRF(tp = 0, fp = 1, fn = 1, tn = 1))
   }
 }

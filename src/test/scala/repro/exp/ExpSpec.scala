@@ -62,6 +62,14 @@ class ExpSpec extends SparkSpec {
     Seq("II", "III", "IV", "V", "VI").foreach(t => repro.jobs.TableJob.table(Seq(t)))
   }
 
+  test("Runner baseline leaves no RDD persisted") {
+    Runner.dataset(spark, "flights", 0.1).mask.count() // the mask's cache fills on first use
+    val before = spark.sparkContext.getPersistentRDDs.keySet.toSet
+    Runner.baseline(spark, "fm_ed", "flights", 0.1)
+    val after = spark.sparkContext.getPersistentRDDs.keySet.toSet
+    assert(after == before, s"left RDDs ${after -- before} persisted")
+  }
+
   test("Runner baseline dispatch rejects unknown methods") {
     intercept[IllegalArgumentException](Runner.baseline(spark, "nope", "hospital", 0.2))
   }

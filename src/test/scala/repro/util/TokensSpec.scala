@@ -25,13 +25,6 @@ class TokensSpec extends AnyFunSuite {
     assert(m.totalTokens == 13L)
   }
 
-  test("meter reset clears counts") {
-    val m = TokenMeter.local()
-    m.call("abcd", "abcd")
-    m.reset()
-    assert(m.totalTokens == 0L)
-  }
-
   test("call returns the response") {
     val m = TokenMeter.local()
     assert(m.call("p", "r") == "r")
