@@ -1,7 +1,6 @@
 package repro.baselines
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
 import repro.core.CellStats
 import repro.data.{CellTable, EDataset}
 import repro.llm.Criteria
@@ -23,8 +22,6 @@ object DBoost {
   val MaxHistogramCardinality = 250
 
   def detect(spark: SparkSession, ds: EDataset): DataFrame = {
-    import spark.implicits._
-    val cells = CellTable.cells(ds.dirty, ds.attrs)
     val stats = CellStats.count(ds.dirty, ds.attrs, Seq.empty)
     val n = stats.n.toDouble
     val valCounts = stats.valueCounts
@@ -42,10 +39,10 @@ object DBoost {
     }.toMap
 
     val numericAttrs = ds.spec.numericAttrs
-    val flag = udf { (attr: String, v: String) =>
+    val flag = (attr: String, v: String) =>
       if (v.isEmpty) false // missing values are not dBoost's model
       else {
-        val patRare = stats.l2Count(attr, v) / n < PatternRarity
+        val patRare = stats.patCount(attr, 2, v) / n < PatternRarity
         val lowCard = distinctPerAttr.getOrElse(attr, Int.MaxValue) <= MaxHistogramCardinality
         val valRare = lowCard && stats.valueCount(attr, v) / n < ValueRarity
         val zOut = numericAttrs.contains(attr) && {
@@ -54,7 +51,6 @@ object DBoost {
         }
         patRare || valRare || zOut
       }
-    }
-    cells.select($"tid", $"attr", flag($"attr", $"value").as("pred"))
+    CellTable.predict(ds)((_, row) => row.transform(flag))
   }
 }

@@ -1,7 +1,7 @@
 package repro.baselines
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import repro.data.EDataset
+import repro.data.{CellTable, EDataset}
 
 /** Katara [14]: knowledge-base powered detection. For each KB relation
   * (lhsAttr → rhsAttr), any tuple whose lhs value the KB covers but whose
@@ -13,16 +13,13 @@ import repro.data.EDataset
 object Katara {
 
   def detect(spark: SparkSession, ds: EDataset): DataFrame = {
-    import spark.implicits._
     // Each rhs attribute with the KB relations that judge it, in KB order.
     val kb = ds.spec.kb
     val byRhs = kb.map(_.rhsAttr).distinct.map(a => a -> kb.filter(_.rhsAttr == a))
-    ds.dirty.flatMap { r =>
+    CellTable.predict(ds) { (_, row) =>
       byRhs.map { case (rhs, rels) =>
-        val v = r.getAs[String](rhs)
-        (r.getAs[Long]("tid"), rhs,
-         rels.exists(rel => rel.mapping.get(r.getAs[String](rel.lhsAttr)).exists(_ != v)))
+        rhs -> rels.exists(rel => rel.mapping.get(row(rel.lhsAttr)).exists(_ != row(rhs)))
       }
-    }.toDF("tid", "attr", "pred")
+    }
   }
 }

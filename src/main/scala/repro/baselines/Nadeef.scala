@@ -2,7 +2,7 @@ package repro.baselines
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.core.CellStats
-import repro.data.{EDataset, FD}
+import repro.data.{CellTable, EDataset, FD}
 
 /** Nadeef [13]: violations of manually predefined rules — not-null checks,
   * per-attribute regex patterns, and FD denial constraints. As in the real
@@ -29,20 +29,15 @@ object Nadeef {
     viol.flatMap { case (fd, bad) => if (bad(row(fd.lhs))) Seq(fd.lhs, fd.rhs) else Nil }.toSet
 
   def detect(spark: SparkSession, ds: EDataset): DataFrame = {
-    import spark.implicits._
     val fds = ds.spec.fds
     val viol = fdViolations(fds, CellStats.count(ds.dirty, ds.attrs, fdPairs(fds)))
     // Not-null rules + regex pattern rules (the dataset's "manual criteria").
     val patterns = ds.spec.nadeefPatterns
-    val attrs = ds.attrs
-    ds.dirty.flatMap { r =>
-      val row = attrs.map(a => a -> r.getAs[String](a)).toMap
+    CellTable.predict(ds) { (_, row) =>
       val inFdGroup = fdFlagged(viol, row)
-      attrs.map { a =>
-        val v = row(a)
-        val ruleViol = v.isEmpty || patterns.get(a).exists(re => !v.matches(re))
-        (r.getAs[Long]("tid"), a, ruleViol || inFdGroup(a))
+      row.transform { (a, v) =>
+        v.isEmpty || patterns.get(a).exists(re => !v.matches(re)) || inFdGroup(a)
       }
-    }.toDF("tid", "attr", "pred")
+    }
   }
 }

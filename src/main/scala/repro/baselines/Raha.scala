@@ -2,9 +2,8 @@ package repro.baselines
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.core.{CellStats, LocalKMeans}
-import repro.data.EDataset
+import repro.data.{CellTable, EDataset}
 import repro.llm.Criteria
-import repro.util.Rng
 
 /** Raha [10]: a configuration-free ensemble — run a battery of cheap
   * detection strategies per cell, cluster cells per attribute in the
@@ -38,28 +37,23 @@ object Raha {
     val numericAttrs = ds.spec.numericAttrs
     def battery(tid: Long, attr: String, v: String): Array[Double] = Array(
       if (v.isEmpty) 1.0 else 0.0,
-      if (stats.l2Count(attr, v) / n < 0.02) 1.0 else 0.0,
+      if (stats.patCount(attr, 2, v) / n < 0.02) 1.0 else 0.0,
       if (stats.valueCount(attr, v) / n < 0.01) 1.0 else 0.0,
       if (numericAttrs.contains(attr) && Criteria.parseNumber(v).isEmpty) 1.0 else 0.0,
       if (fdFlagged.contains((tid, attr))) 1.0 else 0.0,
     )
 
-    // Ground-truth labels on the two sampled tuples.
-    val labTids = (0 until LabeledTuples)
-      .map(i => Rng.int(n.toInt, ds.name, "rahaLab", i).toLong).toSet
-    val truth: Map[(Long, String), Boolean] = ds.mask
-      .where($"tid".isin(labTids.toSeq: _*))
-      .select($"tid", $"attr", $"is_error").as[(Long, String, Boolean)]
-      .collect().map { case (t, a, e) => (t, a) -> e }.toMap
+    // Ground-truth labels on the two sampled tuples: tid → attr → is_error.
+    val labeled = CellTable.labeledTuples(ds, stats.n, "rahaLab", LabeledTuples)
+    val truth = labeled.map { case (t, _, isError) => t -> isError }.toMap
 
     // Strategy-profile propagation across attributes: a labeled erroneous
     // cell's battery signature marks every cell sharing it as dirty (Raha's
     // "same strategies fired" reasoning), complemented by per-attribute
     // in-cluster propagation. Non-firing signatures stay clean.
-    val byTid = tuples.toMap
-    val errSignatures: Set[Seq[Double]] = truth.collect {
-      case ((t, a), true) => byTid.get(t).map(row => battery(t, a, row(a)).toSeq)
-    }.flatten.filter(_.exists(_ > 0)).toSet
+    val errSignatures: Set[Seq[Double]] = labeled.flatMap { case (t, row, isError) =>
+      isError.collect { case (a, true) => battery(t, a, row(a)).toSeq }
+    }.filter(_.exists(_ > 0)).toSet
 
     val preds = ds.attrs.flatMap { a =>
       val rows = tuples.map { case (t, row) => (t, row(a)) }
@@ -70,10 +64,10 @@ object Raha {
                                   s"raha:${ds.name}:$a")
         // cluster → majority label of the labeled cells it contains
         val clusterLabels: Map[Int, Boolean] = rows.indices
-          .filter(i => labTids.contains(rows(i)._1))
+          .filter(i => truth.contains(rows(i)._1))
           .groupBy(i => res.assignments(i))
           .map { case (c, is) =>
-            val errs = is.count(i => truth.getOrElse((rows(i)._1, a), false))
+            val errs = is.count(i => truth(rows(i)._1)(a))
             c -> (errs * 2 > is.size)
           }
         rows.indices.map { i =>

@@ -13,8 +13,16 @@ final case class CellStats(
 ) {
   def valueCount(attr: String, v: String): Long = valueCounts.getOrElse((attr, v), 0L)
 
-  def l2Count(attr: String, v: String): Long =
-    patCounts.getOrElse((attr, 2, Patterns.l2(v)), 0L)
+  /** The count of `v`'s level-`level` pattern in `attr` (level 1, 2 or 3). */
+  def patCount(attr: String, level: Int, v: String): Long = {
+    val p = level match {
+      case 1 => Patterns.l1(v); case 2 => Patterns.l2(v); case _ => Patterns.l3(v)
+    }
+    patCounts.getOrElse((attr, level, p), 0L)
+  }
+
+  def coCount(attr: String, v: String, other: String, otherValue: String): Long =
+    coCounts.getOrElse((attr, v, other, otherValue), 0L)
 }
 
 object CellStats {

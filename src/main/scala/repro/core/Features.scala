@@ -25,12 +25,9 @@ final class FeatureModel(
     val dsName: String,
     val attrs: IndexedSeq[String],
     val corr: Map[String, Seq[String]],
-    val valueCounts: Map[(String, String), Long],
-    val patCounts: Map[(String, Int, String), Long],
-    val coCounts: Map[(String, String, String, String), Long],
+    val stats: CellStats,
     val criteria: Map[String, Seq[Criterion]],
     val dists: Map[String, AttrDist],
-    val n: Long,
     val opts: FeatureOpts,
 ) extends Serializable {
 
@@ -38,15 +35,10 @@ final class FeatureModel(
   val corrBlocks: Int = if (opts.useCorr) math.min(opts.corrK, attrs.size - 1) else 0
   val totalDim: Int = baseDim * (1 + corrBlocks)
 
-  def valueFreq(attr: String, v: String): Double =
-    valueCounts.getOrElse((attr, v), 0L).toDouble / n
+  def valueFreq(attr: String, v: String): Double = stats.valueCount(attr, v).toDouble / stats.n
 
-  def patternFreq(attr: String, level: Int, v: String): Double = {
-    val p = level match {
-      case 1 => Patterns.l1(v); case 2 => Patterns.l2(v); case _ => Patterns.l3(v)
-    }
-    patCounts.getOrElse((attr, level, p), 0L).toDouble / n
-  }
+  def patternFreq(attr: String, level: Int, v: String): Double =
+    stats.patCount(attr, level, v).toDouble / stats.n
 
   /** Mean conditional frequency of `v` given the tuple's correlated values. */
   def vicinityFreq(attr: String, v: String, row: Map[String, String]): Double = {
@@ -55,9 +47,9 @@ final class FeatureModel(
     else {
       val fs = others.map { q =>
         val w = row.getOrElse(q, "")
-        val denom = valueCounts.getOrElse((q, w), 0L)
+        val denom = stats.valueCount(q, w)
         if (denom == 0L) 0.0
-        else coCounts.getOrElse((attr, v, q, w), 0L).toDouble / denom
+        else stats.coCount(attr, v, q, w).toDouble / denom
       }
       fs.sum / fs.size
     }
@@ -135,12 +127,13 @@ object FeatureModel {
       if (!opts.useCorr) Seq.empty
       else corr.toSeq.flatMap { case (a, qs) => qs.take(opts.corrK).map(a -> _) }
 
-    val CellStats(n, valueCounts, patCounts, coCounts) = CellStats.count(ds.dirty, attrs, pairs)
+    val stats = CellStats.count(ds.dirty, attrs, pairs)
+    val n = stats.n
 
     // Distribution analysis (the executed "analysis functions" of Fig. 5).
     val dists = attrs.map { a =>
-      val vc = valueCounts.collect { case ((`a`, v), c) => (v, c) }.toSeq
-      val pc = patCounts.collect { case ((`a`, 2, p), c) => (p, c) }.toSeq
+      val vc = stats.valueCounts.collect { case ((`a`, v), c) => (v, c) }.toSeq
+      val pc = stats.patCounts.collect { case ((`a`, 2, p), c) => (p, c) }.toSeq
       val nums = vc.flatMap { case (v, c) => Criteria.parseNumber(v).map(_ -> c) }
       val numRange =
         if (nums.map(_._2).sum >= 0.8 * n) Some((nums.map(_._1).min, nums.map(_._1).max))
@@ -164,8 +157,7 @@ object FeatureModel {
         }.toMap
       }
 
-    new FeatureModel(ds.name, attrs, corr, valueCounts, patCounts, coCounts,
-                     criteria, dists, n, opts)
+    new FeatureModel(ds.name, attrs, corr, stats, criteria, dists, opts)
   }
 
   /** Deterministic random sample of at most `size` of the `n` tuples as attr→value maps. */

@@ -25,7 +25,7 @@ object Runner {
       dsCache.getOrElseUpdate((name, sc), {
         val ds = Datasets.load(spark, name, sc)
         ds.dirty.cache(); ds.mask.cache()
-        ds.dirty.count()
+        ds.dirty.count(); ds.mask.count()
         ds
       })
     }

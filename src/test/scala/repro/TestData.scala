@@ -15,7 +15,7 @@ object TestData {
       cache.getOrElseUpdate((name, scale), {
         val ds = Datasets.load(spark, name, scale)
         ds.dirty.cache(); ds.clean.cache(); ds.mask.cache()
-        ds.dirty.count()
+        ds.dirty.count(); ds.clean.count(); ds.mask.count()
         ds
       })
     }

@@ -7,8 +7,8 @@ import org.apache.spark.sql.execution.columnar.InMemoryTableScanExec
 import org.apache.spark.sql.execution.exchange.Exchange
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec, TestData}
-import repro.core.{CellStats, Metrics}
-import repro.data.{Datasets, EDataset, FD}
+import repro.core.{CellStats, Metrics, PRF}
+import repro.data.{CellTableSpec, Datasets, EDataset, FD}
 import repro.llm.{ModelProfiles, SimLLM}
 import repro.util.TokenMeter
 
@@ -58,7 +58,7 @@ class BaselinesSpec extends SparkSpec {
 
   test("dBoost never flags empty values (no missing-value model)") {
     val pred = DBoost.detect(spark, flights).withColumnRenamed("pred", "p")
-    val cells = repro.data.CellTable.cells(flights.dirty, flights.attrs)
+    val cells = CellTableSpec.cells(flights.dirty, flights.attrs)
     val flaggedEmpties = cells.where(col("value") === "")
       .join(pred, Seq("tid", "attr")).where(col("p")).count()
     assert(flaggedEmpties == 0L)
@@ -74,7 +74,7 @@ class BaselinesSpec extends SparkSpec {
   // ------------------------------------------------------------------ Nadeef
   test("Nadeef flags every empty cell (not-null rules)") {
     val pred = Nadeef.detect(spark, flights).withColumnRenamed("pred", "p")
-    val cells = repro.data.CellTable.cells(flights.dirty, flights.attrs)
+    val cells = CellTableSpec.cells(flights.dirty, flights.attrs)
     val empties = cells.where(col("value") === "")
     val missed = empties.join(pred, Seq("tid", "attr"), "left")
       .where(coalesce(col("p"), lit(false)) === false).count()
@@ -176,6 +176,41 @@ class BaselinesSpec extends SparkSpec {
       val (one, six) = (preds(1, detect), preds(6, detect))
       val differ = (one diff six).size
       assert(differ == 0 && one.size == six.size, s"$name differs on $differ cells")
+    }
+  }
+
+  test("dBoost, Nadeef and ActiveClean are one pass over the tuples") {
+    val detectors = Seq[(String, EDataset => DataFrame)](
+      "dBoost" -> (DBoost.detect(spark, _)), "Nadeef" -> (Nadeef.detect(spark, _)),
+      "ActiveClean" -> (ActiveClean.detect(spark, _)))
+    for ((name, detect) <- detectors; ds <- Seq(hospital, flights)) {
+      withClue(s"$name on ${ds.name}: ")(assertOnePass(detect(ds)))
+    }
+    // With no error among its labeled cells, ActiveClean fits no model.
+    val allClean = hospital.copy(mask = hospital.mask.withColumn("is_error", lit(false)))
+    withClue("ActiveClean without a model: ")(assertOnePass(ActiveClean.detect(spark, allClean)))
+  }
+
+  // ------------------------------------------------------------------ golden
+  test("golden: every baseline's counts on hospital and flights") {
+    val detectors = Map[String, EDataset => DataFrame](
+      "dBoost" -> (DBoost.detect(spark, _)), "Nadeef" -> (Nadeef.detect(spark, _)),
+      "Katara" -> (Katara.detect(spark, _)), "ActiveClean" -> (ActiveClean.detect(spark, _)),
+      "Raha" -> (Raha.detect(spark, _)), "FM_ED" -> (FMED.detect(spark, _).pred))
+    val golden = Seq(
+      hospital -> Seq(
+        "dBoost" -> PRF(93, 46, 114, 3747), "Nadeef" -> PRF(65, 675, 142, 3118),
+        "Katara" -> PRF(5, 5, 202, 3788), "ActiveClean" -> PRF(150, 1505, 57, 2288),
+        "Raha" -> PRF(153, 1106, 54, 2687), "FM_ED" -> PRF(110, 71, 97, 3722)),
+      flights -> Seq(
+        "dBoost" -> PRF(88, 5, 508, 1065), "Nadeef" -> PRF(307, 238, 289, 832),
+        "Katara" -> PRF(0, 0, 596, 1070), "ActiveClean" -> PRF(434, 246, 162, 824),
+        "Raha" -> PRF(379, 519, 217, 551), "FM_ED" -> PRF(310, 28, 286, 1042)))
+    for ((ds, expected) <- golden; (name, prf) <- expected) {
+      val pred = detectors(name)(ds)
+      val got = Metrics.evaluate(pred, ds.mask)
+      pred.unpersist()
+      assert(got == prf, s"$name on ${ds.name}")
     }
   }
 

@@ -2,7 +2,7 @@ package repro.core
 
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec, TestData}
-import repro.data.CellTable
+import repro.data.CellTableSpec
 
 class CorrelationSpec extends SparkSpec {
 
@@ -71,7 +71,7 @@ class CorrelationSpec extends SparkSpec {
 
   test("oracle: marginal counts match DuckDB via the cell table") {
     val ds = TestData.flightsSmall(spark)
-    val cells = CellTable.cells(ds.dirty, ds.attrs)
+    val cells = CellTableSpec.cells(ds.dirty, ds.attrs)
     val marg = cells.groupBy("attr").agg(countDistinct(col("value")).as("n"))
     Oracle.assertEquivalent(marg,
       "SELECT attr, count(DISTINCT value) AS n FROM cells GROUP BY attr",

@@ -4,7 +4,7 @@ import org.apache.spark.ml.linalg.DenseVector
 import org.apache.spark.sql.catalyst.plans.logical.Union
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec, TestData}
-import repro.data.CellTable
+import repro.data.CellTableSpec
 import repro.llm.ModelProfiles
 import repro.util.TokenMeter
 
@@ -30,30 +30,30 @@ class FeaturesSpec extends SparkSpec {
   }
 
   test("oracle: fitted value counts match DuckDB") {
-    val cells = CellTable.cells(ds.dirty, ds.attrs)
+    val cells = CellTableSpec.cells(ds.dirty, ds.attrs)
     val vc = cells.groupBy("attr", "value").agg(count(lit(1)).as("n"))
     Oracle.assertEquivalent(vc,
       "SELECT attr, value, count(1) AS n FROM cells GROUP BY attr, value",
       "cells" -> cells)
     // and the model's map is exactly that aggregation
     val fromDf = vc.collect().map(r => (r.getString(0), r.getString(1)) -> r.getLong(2)).toMap
-    assert(model.valueCounts == fromDf)
+    assert(model.stats.valueCounts == fromDf)
   }
 
   test("oracle: fitted pattern counts match a groupBy on the cell table") {
     import spark.implicits._
-    val pats = CellTable.cells(ds.dirty, ds.attrs).as[(Long, String, String)]
+    val pats = CellTableSpec.cells(ds.dirty, ds.attrs).as[(Long, String, String)]
       .flatMap { case (_, a, v) => Patterns.all(v).zipWithIndex.map { case (p, i) => (a, i + 1, p) } }
       .toDF("attr", "lvl", "pat")
       .groupBy("attr", "lvl", "pat").count()
     val fromDf = pats.collect()
       .map(r => (r.getString(0), r.getInt(1), r.getString(2)) -> r.getLong(3)).toMap
-    assert(model.patCounts == fromDf)
+    assert(model.stats.patCounts == fromDf)
   }
 
   test("oracle: fitted co-occurrence counts match DuckDB") {
     import spark.implicits._
-    val cells = CellTable.cells(ds.dirty, ds.attrs)
+    val cells = CellTableSpec.cells(ds.dirty, ds.attrs)
     val pairs = model.corr.toSeq.flatMap { case (a, qs) => qs.take(model.opts.corrK).map(a -> _) }
       .toDF("attr", "other")
     val c1 = cells.toDF("tid", "attr", "value")
@@ -62,8 +62,8 @@ class FeaturesSpec extends SparkSpec {
       .groupBy("attr", "value", "other", "otherValue").agg(count(lit(1)).as("n"))
     val fromDf = co.collect().map(r =>
       (r.getString(0), r.getString(1), r.getString(2), r.getString(3)) -> r.getLong(4)).toMap
-    assert(model.coCounts == fromDf)
-    val fitted = model.coCounts.toSeq.map { case ((a, v, q, w), n) => (a, v, q, w, n) }
+    assert(model.stats.coCounts == fromDf)
+    val fitted = model.stats.coCounts.toSeq.map { case ((a, v, q, w), n) => (a, v, q, w, n) }
       .toDF("attr", "value", "other", "otherValue", "n")
     Oracle.assertEquivalent(fitted,
       """SELECT c1.attr AS attr, c1.value AS value, c2.attr AS other,
@@ -81,7 +81,7 @@ class FeaturesSpec extends SparkSpec {
   }
 
   test("pattern counts cover all three levels") {
-    assert(Seq(1, 2, 3).forall(l => model.patCounts.keys.exists(_._2 == l)))
+    assert(Seq(1, 2, 3).forall(l => model.stats.patCounts.keys.exists(_._2 == l)))
   }
 
   test("vicinity frequency is high for consistent FD pairs") {
@@ -105,17 +105,16 @@ class FeaturesSpec extends SparkSpec {
   }
 
   test("criteria disabled yields an all-zero criteria block") {
-    val m2 = new FeatureModel(model.dsName, model.attrs, model.corr,
-      model.valueCounts, model.patCounts, model.coCounts, model.criteria,
-      model.dists, model.n, FeatureOpts(useCriteria = false))
+    val m2 = new FeatureModel(model.dsName, model.attrs, model.corr, model.stats,
+      model.criteria, model.dists, FeatureOpts(useCriteria = false))
     assert(m2.criteriaVec("zip", "12345", Map.empty).forall(_ == 0.0))
   }
 
   test("useCorr=false removes the correlated blocks") {
     val m2 = new FeatureModel(model.dsName, model.attrs,
       model.attrs.map(_ -> Seq.empty[String]).toMap,
-      model.valueCounts, model.patCounts, Map.empty, model.criteria,
-      model.dists, model.n, FeatureOpts(useCorr = false))
+      model.stats.copy(coCounts = Map.empty), model.criteria,
+      model.dists, FeatureOpts(useCorr = false))
     assert(m2.totalDim == m2.baseDim)
     assert(m2.vicinityFreq("zip", "12345", Map.empty) == 0.0)
   }

@@ -9,11 +9,10 @@ class TrainDataSpec extends AnyFunSuite {
   private val attrs = Vector("a", "b")
   private val model = new FeatureModel(
     "t", attrs, Map("a" -> Seq("b"), "b" -> Seq("a")),
-    valueCounts = Map(("a", "10") -> 5L),
-    patCounts = Map.empty, coCounts = Map.empty,
+    stats = CellStats(10L, Map(("a", "10") -> 5L), Map.empty, Map.empty),
     criteria = Map("a" -> Seq(NotEmpty())),
     dists = attrs.map(a => a -> AttrDist(a, 10, Seq.empty, Seq.empty, None, 0)).toMap,
-    n = 10L, opts = FeatureOpts(corrK = 1))
+    opts = FeatureOpts(corrK = 1))
 
   private def cells(values: Seq[String]) = Labeling.AttrCells(
     "a", values.indices.map(_.toLong).toArray, values.toArray,

@@ -26,9 +26,9 @@ class DatasetsSpec extends SparkSpec {
   }
 
   test("mask err flags exactly the cells where dirty differs from clean") {
-    val dirtyCells = CellTable.cells(ds.dirty, ds.attrs)
+    val dirtyCells = CellTableSpec.cells(ds.dirty, ds.attrs)
       .withColumnRenamed("value", "dv")
-    val cleanCells = CellTable.cells(ds.clean, ds.attrs)
+    val cleanCells = CellTableSpec.cells(ds.clean, ds.attrs)
       .withColumnRenamed("value", "cv")
     val joined = dirtyCells.join(cleanCells, Seq("tid", "attr"))
       .join(ds.mask, Seq("tid", "attr"))
@@ -66,8 +66,8 @@ class DatasetsSpec extends SparkSpec {
   }
 
   test("oracle: dirty-vs-clean diff count matches DuckDB") {
-    val dirtyCells = CellTable.cells(ds.dirty, ds.attrs).withColumnRenamed("value", "dv")
-    val cleanCells = CellTable.cells(ds.clean, ds.attrs).withColumnRenamed("value", "cv")
+    val dirtyCells = CellTableSpec.cells(ds.dirty, ds.attrs).withColumnRenamed("value", "dv")
+    val cleanCells = CellTableSpec.cells(ds.clean, ds.attrs).withColumnRenamed("value", "cv")
     val spark2 = dirtyCells.join(cleanCells, Seq("tid", "attr"))
       .where(col("dv") =!= col("cv"))
       .agg(count(lit(1)).as("n"))

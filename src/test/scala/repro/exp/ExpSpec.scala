@@ -63,7 +63,7 @@ class ExpSpec extends SparkSpec {
   }
 
   test("Runner baseline leaves no RDD persisted") {
-    Runner.dataset(spark, "flights", 0.1).mask.count() // the mask's cache fills on first use
+    Runner.dataset(spark, "flights", 0.1)
     val before = spark.sparkContext.getPersistentRDDs.keySet.toSet
     Runner.baseline(spark, "fm_ed", "flights", 0.1)
     val after = spark.sparkContext.getPersistentRDDs.keySet.toSet
