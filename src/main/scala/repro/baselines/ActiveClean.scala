@@ -18,7 +18,7 @@ object ActiveClean {
 
   def detect(spark: SparkSession, ds: EDataset): DataFrame = {
     import spark.implicits._
-    val stats = CellStats.count(ds.dirty, ds.attrs, Seq.empty)
+    val stats = CellStats.count(CellTable.tuples(ds.dirty, ds.attrs), ds.attrs, Seq.empty)
     val n = stats.n.toDouble
 
     val features = (attr: String, v: String) => Vectors.dense(

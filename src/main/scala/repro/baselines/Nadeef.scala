@@ -30,7 +30,8 @@ object Nadeef {
 
   def detect(spark: SparkSession, ds: EDataset): DataFrame = {
     val fds = ds.spec.fds
-    val viol = fdViolations(fds, CellStats.count(ds.dirty, ds.attrs, fdPairs(fds)))
+    val viol = fdViolations(fds,
+      CellStats.count(CellTable.tuples(ds.dirty, ds.attrs), ds.attrs, fdPairs(fds)))
     // Not-null rules + regex pattern rules (the dataset's "manual criteria").
     val patterns = ds.spec.nadeefPatterns
     CellTable.predict(ds) { (_, row) =>

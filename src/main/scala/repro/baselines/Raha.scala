@@ -20,14 +20,11 @@ object Raha {
   def detect(spark: SparkSession, ds: EDataset): DataFrame = {
     import spark.implicits._
     val fds = ds.spec.fds
-    val stats = CellStats.count(ds.dirty, ds.attrs, Nadeef.fdPairs(fds))
+    // Every tuple in tid order: the k-means input order, the same however
+    // `ds.dirty` is partitioned.
+    val tuples = CellTable.tuples(ds.dirty, ds.attrs)
+    val stats = CellStats.count(tuples, ds.attrs, Nadeef.fdPairs(fds))
     val n = stats.n.toDouble
-
-    // Every tuple as (tid, attr→value), in tid order: the k-means input order,
-    // the same however `ds.dirty` is partitioned.
-    val tuples: Array[(Long, Map[String, String])] = ds.dirty.collect()
-      .map(r => r.getAs[Long]("tid") -> ds.attrs.map(a => a -> r.getAs[String](a)).toMap)
-      .sortBy(_._1)
 
     // FD-violation strategy (Nadeef's constraint set and definition).
     val viol = Nadeef.fdViolations(fds, stats)

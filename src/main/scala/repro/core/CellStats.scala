@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.DataFrame
+import repro.util.Par
 
 /** The cell statistics of one dirty table (Section III-B), shared by the
   * feature model and the statistical baselines.
@@ -29,26 +29,26 @@ object CellStats {
 
   /** Count the tuples, the (attr, value)s, the (attr, level, pattern)s of the
     * L1–L3 patterns and, for each (attr, other) pair, the
-    * (attr, value, other, otherValue)s in one pass: every tuple emits the keys
-    * of all three maps, told apart by arity, and one countByValue counts them.
+    * (attr, value, other, otherValue)s of the collected `tuples`, one
+    * attribute per task: each task counts its attribute's values, the patterns
+    * of its distinct values, and the pairs that start at it.
     */
-  def count(dirty: DataFrame, attrs: IndexedSeq[String], pairs: Seq[(String, String)]): CellStats = {
-    val counts = dirty.rdd.flatMap[Product] { r =>
-      val row = attrs.map(a => a -> r.getAs[String](a)).toMap
-      attrs.flatMap { a =>
-        val v = row(a)
-        (a, v) +: Patterns.all(v).zipWithIndex.map { case (p, i) => (a, i + 1, p) }
-      } ++ pairs.map { case (a, q) => (a, row(a), q, row(q)) }
-    }.countByValue()
-    val valueCounts = counts.collect { case (k: (String, String) @unchecked, c) => k -> c }.toMap
-    val patCounts =
-      counts.collect { case (k: (String, Int, String) @unchecked, c) => k -> c }.toMap
-    val coCounts =
-      counts.collect { case (k: (String, String, String, String) @unchecked, c) => k -> c }.toMap
-    // Every tuple holds one value per attribute, so one attribute's counts sum to n.
-    val n = attrs.headOption.fold(dirty.count()) { a =>
-      valueCounts.iterator.collect { case ((`a`, _), c) => c }.sum
+  def count(tuples: Array[(Long, Map[String, String])], attrs: IndexedSeq[String],
+            pairs: Seq[(String, String)]): CellStats = {
+    val rows = tuples.map(_._2)
+    def counts[K](keys: Array[K]): Map[K, Long] = keys.groupMapReduce(identity)(_ => 1L)(_ + _)
+    val perAttr = Par.map(attrs) { a =>
+      val values = counts(rows.map(r => (a, r(a))))
+      val pats = values.toSeq.flatMap { case ((_, v), c) =>
+        Patterns.all(v).zipWithIndex.map { case (p, i) => ((a, i + 1, p), c) }
+      }.groupMapReduce(_._1)(_._2)(_ + _)
+      val co = counts(pairs.filter(_._1 == a).toArray.flatMap { case (_, q) =>
+        rows.map(r => (a, r(a), q, r(q)))
+      })
+      (values, pats, co)
     }
-    CellStats(n, valueCounts, patCounts, coCounts)
+    // Every key starts with its task's attribute, so the tasks' maps are disjoint.
+    CellStats(tuples.length.toLong, perAttr.flatMap(_._1).toMap, perAttr.flatMap(_._2).toMap,
+              perAttr.flatMap(_._3).toMap)
   }
 }

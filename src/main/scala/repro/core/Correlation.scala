@@ -1,7 +1,8 @@
 package repro.core
 
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions.col
+import repro.data.CellTable
+import repro.util.Par
 
 /** Correlated-attribute selection via normalized mutual information
   * (Section III-B, "Unified Feature Representation").
@@ -42,22 +43,24 @@ object Correlation {
     else math.min(1.0, mutualInformation(xs, ys) / math.sqrt(hx * hy))
   }
 
-  /** Top-k correlated attributes per attribute, from a strided tuple sample
-    * of the dirty data.
+  /** `topK` of the tuples of `dirty`, collected. */
+  def topK(dirty: DataFrame, attrs: Seq[String], k: Int): Map[String, Seq[String]] =
+    topK(CellTable.tuples(dirty, attrs), attrs, k)
+
+  /** Top-k correlated attributes per attribute, from a strided sample of the
+    * tid-sorted dirty tuples; the pairs' NMIs are computed in parallel.
     */
-  def topK(dirty: DataFrame, attrs: Seq[String], k: Int): Map[String, Seq[String]] = {
-    val n = dirty.count()
-    val stride = math.max(1L, n / MaxSampleTuples)
-    val rows = dirty.where(col("tid") % stride === 0L)
-      .select(attrs.map(col): _*).collect()
-    val cols: Map[String, Seq[String]] =
-      attrs.zipWithIndex.map { case (a, i) => a -> rows.toSeq.map(_.getString(i)) }.toMap
+  def topK(tuples: Array[(Long, Map[String, String])], attrs: Seq[String],
+           k: Int): Map[String, Seq[String]] = {
+    val stride = math.max(1L, tuples.length / MaxSampleTuples)
+    val rows = tuples.toSeq.collect { case (tid, row) if tid % stride == 0L => row }
+    val cols: Map[String, Seq[String]] = attrs.map(a => a -> rows.map(_(a))).toMap
 
     val pairs = for {
       i <- attrs.indices
       j <- (i + 1) until attrs.size
-    } yield ((attrs(i), attrs(j)), nmi(cols(attrs(i)), cols(attrs(j))))
-    val score = pairs.toMap
+    } yield (attrs(i), attrs(j))
+    val score = pairs.zip(Par.map(pairs) { case (a, b) => nmi(cols(a), cols(b)) }).toMap
 
     def nmiOf(a: String, b: String): Double =
       score.getOrElse((a, b), score.getOrElse((b, a), 0.0))

@@ -1,12 +1,10 @@
 package repro.core
 
-import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.ml.linalg.{Vector, Vectors}
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
-import repro.data.EDataset
+import repro.data.{CellTable, EDataset}
 import repro.llm.{AttrDist, Criteria, Criterion, LLMProfile, SimLLM}
-import repro.util.{Rng, TokenMeter}
+import repro.util.{Par, Rng, TokenMeter}
 
 /** Feature-construction options (the ablation switches of Table IV). */
 final case class FeatureOpts(
@@ -15,8 +13,8 @@ final case class FeatureOpts(
     useCorr: Boolean = true,
 )
 
-/** The fitted per-dataset feature statistics (Section III-B), counted in one
-  * `CellStats.count` pass and broadcast for tuple-level featurization:
+/** The fitted per-dataset feature statistics (Section III-B), counted by
+  * `CellStats.count` from the collected tuples:
   *
   *  f_base(cell) = [valueFreq, vicinityFreq] ⊕ [patFreq L1..L3] ⊕ f_sem ⊕ f_cri
   *  Feat(cell)   = f_base(cell) ⊕ f_base(correlated cells of the same tuple)
@@ -94,9 +92,7 @@ final class FeatureModel(
   def finalVec(attr: String, row: Map[String, String]): Array[Double] =
     finalVec(attr, baseVec(_: String, row))
 
-  /** Feat(D[i,j]) assembled from the tuple's base vectors, `baseOf(attr)`:
-    * the one assembly behind the driver-side and the tuple-level paths.
-    */
+  /** Feat(D[i,j]) assembled from the tuple's base vectors, `baseOf(attr)`. */
   def finalVec(attr: String, baseOf: String => Array[Double]): Array[Double] = {
     val out = new Array[Double](totalDim)
     System.arraycopy(baseOf(attr), 0, out, 0, baseDim)
@@ -108,17 +104,50 @@ final class FeatureModel(
     }
     out
   }
+
+  /** Feat of every cell of one tuple, in `attrs` order, from the tuple's |A|
+    * base vectors computed once: the one featurization behind the driver-side
+    * `featurize` and the executor-side `FeatureModel.transform`.
+    */
+  def tupleVecs(row: Map[String, String]): IndexedSeq[Array[Double]] = {
+    val bases = attrs.map(a => a -> baseVec(a, row)).toMap
+    attrs.map(a => finalVec(a, bases))
+  }
+
+  /** Featurize every cell of the tid-sorted `tuples` on the driver, in
+    * parallel chunks of tuples, into per-attribute cells in tid order.
+    */
+  def featurize(tuples: Array[(Long, Map[String, String])]): Map[String, Labeling.AttrCells] = {
+    val n = tuples.length
+    val feats = attrs.map(_ => new Array[Array[Double]](n))
+    val chunk = math.max(1, n / (4 * Runtime.getRuntime.availableProcessors))
+    Par.map(0 until n by chunk) { lo =>
+      (lo until math.min(n, lo + chunk)).foreach { i =>
+        tupleVecs(tuples(i)._2).zip(feats).foreach { case (f, out) => out(i) = f }
+      }
+    }
+    val tids = tuples.map(_._1)
+    attrs.zip(feats).map { case (a, fs) =>
+      a -> Labeling.AttrCells(a, tids, tuples.map(_._2(a)), fs)
+    }.toMap
+  }
 }
 
 object FeatureModel {
 
   private val CriteriaSampleSize = 40
 
-  /** Fit all statistics in one aggregation pass and reason the initial
-    * criteria from a random tuple sample (metered LLM calls).
-    */
+  /** `fit` on the tuples of `ds.dirty`, collected. */
   def fit(spark: SparkSession, ds: EDataset, corr: Map[String, Seq[String]],
-          profile: LLMProfile, meter: TokenMeter, opts: FeatureOpts): FeatureModel = {
+          profile: LLMProfile, meter: TokenMeter, opts: FeatureOpts): FeatureModel =
+    fit(ds, CellTable.tuples(ds.dirty, ds.attrs), corr, profile, meter, opts)
+
+  /** Fit all statistics from the tid-sorted dirty `tuples` and reason the
+    * initial criteria from a random tuple sample (metered LLM calls).
+    */
+  def fit(ds: EDataset, tuples: Array[(Long, Map[String, String])],
+          corr: Map[String, Seq[String]], profile: LLMProfile, meter: TokenMeter,
+          opts: FeatureOpts): FeatureModel = {
     val attrs = ds.attrs
 
     // Co-occurrence counts only for the (attr, correlated attr) pairs the
@@ -127,7 +156,7 @@ object FeatureModel {
       if (!opts.useCorr) Seq.empty
       else corr.toSeq.flatMap { case (a, qs) => qs.take(opts.corrK).map(a -> _) }
 
-    val stats = CellStats.count(ds.dirty, attrs, pairs)
+    val stats = CellStats.count(tuples, attrs, pairs)
     val n = stats.n
 
     // Distribution analysis (the executed "analysis functions" of Fig. 5).
@@ -149,7 +178,7 @@ object FeatureModel {
     val criteria: Map[String, Seq[Criterion]] =
       if (!opts.useCriteria) Map.empty
       else {
-        val sampleRows = sampleTuples(ds, CriteriaSampleSize, n)
+        val sampleRows = sampleTuples(ds.name, tuples, CriteriaSampleSize)
         attrs.map { a =>
           val samples = sampleRows.map(r => Criteria.Sample(r.getOrElse(a, ""), r))
           a -> SimLLM.reasonCriteria(profile, meter, ds.name, a, samples,
@@ -160,31 +189,29 @@ object FeatureModel {
     new FeatureModel(ds.name, attrs, corr, stats, criteria, dists, opts)
   }
 
-  /** Deterministic random sample of at most `size` of the `n` tuples as attr→value maps. */
-  private[core] def sampleTuples(ds: EDataset, size: Int, n: Long): Seq[Map[String, String]] = {
-    val frac = math.min(1.0, size * 3.0 / math.max(1L, n))
-    val dsName = ds.name
-    val keep = udf((tid: Long) => Rng.bool(frac, dsName, "critSample", tid))
-    // The `size` kept tuples with the smallest tids, in one job; tid order,
-    // not partition order, so the sample does not depend on the layout.
-    val rows = ds.dirty.where(keep(col("tid"))).collect()
-      .sortBy(_.getAs[Long]("tid")).take(size)
-    rows.toSeq.map(r => ds.attrs.map(a => a -> r.getAs[String](a)).toMap)
+  /** Deterministic random sample of at most `size` of the tid-sorted `tuples`:
+    * the `size` kept tuples with the smallest tids, so the sample does not
+    * depend on how the table was partitioned.
+    */
+  private[core] def sampleTuples(dsName: String, tuples: Array[(Long, Map[String, String])],
+                                 size: Int): Seq[Map[String, String]] = {
+    val frac = math.min(1.0, size * 3.0 / math.max(1, tuples.length))
+    tuples.iterator.collect { case (tid, row) if Rng.bool(frac, dsName, "critSample", tid) => row }
+      .take(size).toSeq
   }
 
-  /** Featurize every cell: (tid, attr, value, features). Each tuple builds its
-    * row map and its |A| base vectors once, then assembles every cell's
-    * unified vector from them with the broadcast model.
+  /** Featurize every cell on the executors: (tid, attr, value, features), with
+    * the broadcast model's `tupleVecs`.
     */
   def transform(spark: SparkSession, ds: EDataset, model: FeatureModel): DataFrame = {
     import spark.implicits._
-    val bc: Broadcast[FeatureModel] = spark.sparkContext.broadcast(model)
-    val attrs = ds.attrs
+    val bc = spark.sparkContext.broadcast(model)
+    val attrs = model.attrs
     ds.dirty.flatMap { r =>
-      val m = bc.value
       val row = attrs.map(a => a -> r.getAs[String](a)).toMap
-      val bases = attrs.map(a => a -> m.baseVec(a, row)).toMap
-      attrs.map(a => (r.getAs[Long]("tid"), a, row(a), Vectors.dense(m.finalVec(a, bases)): Vector))
+      attrs.zip(bc.value.tupleVecs(row)).map { case (a, f) =>
+        (r.getAs[Long]("tid"), a, row(a), Vectors.dense(f): Vector)
+      }
     }.toDF("tid", "attr", "value", "features")
   }
 }

@@ -2,12 +2,9 @@ package repro.core
 
 import org.apache.spark.ml.linalg.DenseVector
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import repro.data.EDataset
+import repro.data.{CellTable, EDataset}
 import repro.llm.{Guideline, LLMProfile, ModelProfiles, SimLLM}
-import repro.util.TokenMeter
-
-import scala.concurrent.{Await, ExecutionContext, Future}
-import scala.concurrent.duration.Duration
+import repro.util.{Par, TokenMeter}
 
 /** End-to-end ZeroED configuration. The boolean switches are the Table IV
   * ablations; profile the Table V axis; clusterMethod the Table VI axis.
@@ -40,24 +37,22 @@ object ZeroED {
   def run(spark: SparkSession, ds: EDataset, cfg: ZeroEDConfig = ZeroEDConfig()): ZeroEDResult = {
     val meter = TokenMeter(spark.sparkContext, s"zeroed-${ds.name}-${cfg.profile.name}")
 
-    // ---- step 1: feature representation (Section III-B)
+    // ---- step 1: feature representation (Section III-B), on one driver-side
+    // read of the dirty table (DESIGN.md § Spark layering)
+    val tuples = CellTable.tuples(ds.dirty, ds.attrs)
     val corr: Map[String, Seq[String]] =
-      if (cfg.useCorr) Correlation.topK(ds.dirty, ds.attrs, cfg.corrK)
+      if (cfg.useCorr) Correlation.topK(tuples, ds.attrs, cfg.corrK)
       else ds.attrs.map(_ -> Seq.empty[String]).toMap
     val opts = FeatureOpts(corrK = cfg.corrK, useCriteria = cfg.useCriteria,
                            useCorr = cfg.useCorr)
-    val model = FeatureModel.fit(spark, ds, corr, cfg.profile, meter, opts)
-
-    // Driver-side views for steps 2–4, from one collect (DESIGN.md § Spark layering).
-    val attrCells = collectCells(FeatureModel.transform(spark, ds, model), ds)
-    val rowCtx = tupleContext(attrCells, ds.attrs)
+    val model = FeatureModel.fit(ds, tuples, corr, cfg.profile, meter, opts)
+    val attrCells = model.featurize(tuples)
+    val rowCtx = tuples.toMap
     val errTypes = SimLLM.errorTypes(ds.mask)
 
     // ---- step 2: clustering-based sampling + guideline-driven labeling
-    val s = Sampling.clusterCount(rowCtx.size.toLong, cfg.labelRate)
-    implicit val ec: ExecutionContext = ExecutionContext.global
-    def perAttr[T](f: String => T): Seq[(String, T)] =  // attributes in parallel
-      Await.result(Future.traverse(ds.attrs.toSeq)(a => Future(a -> f(a))), Duration.Inf)
+    val s = Sampling.clusterCount(tuples.length.toLong, cfg.labelRate)
+    def perAttr[T](f: String => T): Seq[(String, T)] = Par.map(ds.attrs)(a => a -> f(a))
     val clusters: Map[String, Sampling.AttrClusters] = perAttr { a =>
       Sampling.cluster(cfg.clusterMethod, a, attrCells(a).feats, s, s"${ds.name}:${cfg.seed}")
     }.toMap
@@ -104,12 +99,5 @@ object ZeroED {
         rs.map(_.getAs[String]("value")),
         rs.map(_.getAs[DenseVector]("features").toArray))
     }.toMap
-  }
-
-  /** Every tuple's attribute values, read from the collected cells. */
-  private[core] def tupleContext(attrCells: Map[String, Labeling.AttrCells],
-                                 attrs: Seq[String]): Map[Long, Map[String, String]] = {
-    val tids = attrCells(attrs.head).tids
-    tids.indices.map(i => tids(i) -> attrs.map(a => a -> attrCells(a).values(i)).toMap).toMap
   }
 }

@@ -1,13 +1,23 @@
 package repro.data
 
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.functions.col
 import repro.util.Rng
 
-/** Cell-level tables, keyed like the mask by (tid, attr): the baselines'
-  * prediction table and the mask labels of their hand-labeled tuples.
+/** Cell-level tables, keyed like the mask by (tid, attr): the dirty tuples on
+  * the driver, the baselines' prediction table and the mask labels of their
+  * hand-labeled tuples.
   */
 object CellTable {
+
+  /** Every tuple of `dirty` as (tid, attr→value), sorted by tid, in one collect:
+    * the same order however `dirty` is partitioned.
+    */
+  def tuples(dirty: DataFrame, attrs: Seq[String]): Array[(Long, Map[String, String])] =
+    dirty.collect().map(r => r.getAs[Long]("tid") -> values(r, attrs)).sortBy(_._1)
+
+  private def values(r: Row, attrs: Seq[String]): Map[String, String] =
+    attrs.map(a => a -> r.getAs[String](a)).toMap
 
   /** The (tid, attr, pred) rows `judge` gives each dirty tuple from its tid
     * and attr→value map, in one pass over the tuples. `judge` runs on the
@@ -20,7 +30,7 @@ object CellTable {
     val attrs = ds.attrs
     ds.dirty.flatMap { r =>
       val tid = r.getAs[Long]("tid")
-      judge(tid, attrs.map(a => a -> r.getAs[String](a)).toMap).map { case (a, p) => (tid, a, p) }
+      judge(tid, values(r, attrs)).map { case (a, p) => (tid, a, p) }
     }.toDF("tid", "attr", "pred")
   }
 
@@ -33,7 +43,7 @@ object CellTable {
     val tids = (0 until count).map(i => Rng.int(n.toInt, ds.name, key, i).toLong).distinct
     val inLab = col("tid").isin(tids: _*)
     val rows = ds.dirty.where(inLab).collect()
-      .map(r => r.getAs[Long]("tid") -> ds.attrs.map(a => a -> r.getAs[String](a)).toMap).toMap
+      .map(r => r.getAs[Long]("tid") -> values(r, ds.attrs)).toMap
     val isError = ds.mask.where(inLab).select("tid", "attr", "is_error").collect()
       .groupMap(_.getLong(0))(r => r.getString(1) -> r.getBoolean(2))
     tids.sorted.map(t => (t, rows(t), isError(t).toMap))

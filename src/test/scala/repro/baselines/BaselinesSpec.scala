@@ -8,7 +8,7 @@ import org.apache.spark.sql.execution.exchange.Exchange
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec, TestData}
 import repro.core.{CellStats, Metrics, PRF}
-import repro.data.{CellTableSpec, Datasets, EDataset, FD}
+import repro.data.{CellTable, CellTableSpec, Datasets, EDataset, FD}
 import repro.llm.{ModelProfiles, SimLLM}
 import repro.util.TokenMeter
 
@@ -85,7 +85,8 @@ class BaselinesSpec extends SparkSpec {
     import spark.implicits._
     val fds = hospital.spec.fds
     val viol = Nadeef.fdViolations(fds,
-      CellStats.count(hospital.dirty, hospital.attrs, Nadeef.fdPairs(fds)))
+      CellStats.count(CellTable.tuples(hospital.dirty, hospital.attrs), hospital.attrs,
+                      Nadeef.fdPairs(fds)))
     val flagged = hospital.dirty.collect().toSeq.flatMap { r =>
       Nadeef.fdFlagged(viol, r.getAs[String](_)).map(a => (r.getAs[Long]("tid"), a))
     }.toDF("tid", "attr")

@@ -4,7 +4,7 @@ import org.apache.spark.ml.linalg.DenseVector
 import org.apache.spark.sql.catalyst.plans.logical.Union
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec, TestData}
-import repro.data.CellTableSpec
+import repro.data.{CellTable, CellTableSpec}
 import repro.llm.ModelProfiles
 import repro.util.TokenMeter
 
@@ -171,7 +171,7 @@ class FeaturesSpec extends SparkSpec {
   }
 
   test("sampleTuples returns full attr maps") {
-    val s = FeatureModel.sampleTuples(ds, 10, ds.dirty.count())
+    val s = FeatureModel.sampleTuples(ds.name, CellTable.tuples(ds.dirty, ds.attrs), 10)
     assert(s.nonEmpty && s.size <= 10)
     s.foreach(m => assert(m.keySet == ds.attrs.toSet))
   }

@@ -1,6 +1,9 @@
 package repro.core
 
+import java.util.concurrent.atomic.AtomicInteger
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import repro.{SparkSpec, TestData}
+import repro.data.CellTable
 import repro.llm.ModelProfiles
 import repro.util.TokenMeter
 
@@ -64,14 +67,35 @@ class ZeroEDSpec extends SparkSpec {
     assert(reads.value == parts, s"${reads.value} partition reads of a $parts-partition mask")
   }
 
-  test("tupleContext rebuilds every tuple from the collected cells") {
-    val model = FeatureModel.fit(spark, ds, Correlation.topK(ds.dirty, ds.attrs, 2),
-                                 ModelProfiles.qwen72b, TokenMeter.local(), FeatureOpts())
-    val cells = ZeroED.collectCells(FeatureModel.transform(spark, ds, model), ds)
-    val rows = ds.dirty.collect().map { r =>
-      r.getAs[Long]("tid") -> ds.attrs.map(a => a -> r.getAs[String](a)).toMap
-    }.toMap
-    assert(ZeroED.tupleContext(cells, ds.attrs) == rows)
+  test("a run starts two Spark jobs") {
+    // One read of the dirty table and one of the mask; the drain job of
+    // `listening` is not the run's.
+    val jobs = new AtomicInteger
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit =
+        if (!Option(e.properties).exists(_.getProperty("spark.jobGroup.id") == "drain"))
+          jobs.incrementAndGet()
+    }
+    val input = ds  // loaded and cached outside the count
+    listening(listener)(ZeroED.run(spark, input))
+    assert(jobs.get == 2, s"${jobs.get} Spark jobs")
+  }
+
+  test("driver-side cells equal the collected executor-side featurization") {
+    for (d <- Seq(ds, TestData.flightsSmall(spark))) {
+      val tuples = CellTable.tuples(d.dirty, d.attrs)
+      val model = FeatureModel.fit(d, tuples, Correlation.topK(tuples, d.attrs, 2),
+                                   ModelProfiles.qwen72b, TokenMeter.local(), FeatureOpts())
+      val driver = model.featurize(tuples)
+      val executor = ZeroED.collectCells(FeatureModel.transform(spark, d, model), d)
+      assert(driver.keySet == d.attrs.toSet && executor.keySet == driver.keySet)
+      d.attrs.foreach { a =>
+        val (x, y) = (driver(a), executor(a))
+        assert(x.tids.toSeq == y.tids.toSeq, s"${d.name}.$a tids")
+        assert(x.values.toSeq == y.values.toSeq, s"${d.name}.$a values")
+        assert(x.feats.map(_.toSeq).toSeq == y.feats.map(_.toSeq).toSeq, s"${d.name}.$a features")
+      }
+    }
   }
 
   test("results do not depend on how the input tables are partitioned") {
