@@ -9,12 +9,18 @@ import org.apache.spark.sql.types._
   *
   * All three are plain DataFrames keyed by `tid`; every attribute cell is a
   * string (ED literature convention — detectors must not rely on typed
-  * schemas the dirty data would not have).
+  * schemas the dirty data would not have). All three are views of `wide`,
+  * the cached table generation fills once.
   */
 final case class EDataset(spec: DatasetSpec, dirty: DataFrame,
-                          clean: DataFrame, mask: DataFrame) {
+                          clean: DataFrame, mask: DataFrame, wide: DataFrame) {
   def name: String = spec.name
   def attrs: IndexedSeq[String] = spec.attrNames
+
+  /** Release the cached `wide` table and any cache a caller added to
+    * `dirty`, `clean` or `mask`.
+    */
+  def unpersist(): Unit = Seq(dirty, clean, mask, wide).foreach(_.unpersist())
 }
 
 object Datasets {
@@ -56,6 +62,6 @@ object Datasets {
     val mask = wide
       .selectExpr("tid", s"stack(${attrs.size}, $stackArgs) as (attr, err_type)")
       .withColumn("is_error", col("err_type") =!= lit(""))
-    EDataset(spec, dirty, clean, mask)
+    EDataset(spec, dirty, clean, mask, wide)
   }
 }

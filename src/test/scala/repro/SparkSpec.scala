@@ -1,6 +1,7 @@
 package repro
 
 import java.util.concurrent.{CountDownLatch, TimeUnit}
+import java.util.concurrent.atomic.AtomicInteger
 import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.apache.spark.sql.SparkSession
 import org.scalatest.BeforeAndAfterAll
@@ -45,6 +46,19 @@ trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
       sc.removeSparkListener(marker)
       sc.removeSparkListener(listener)
     }
+  }
+
+  /** The number of Spark jobs `body` starts (the drain job of `listening`
+    * is not counted).
+    */
+  def jobsStarted(body: => Any): Int = {
+    val jobs = new AtomicInteger
+    listening(new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit =
+        if (!Option(e.properties).exists(_.getProperty("spark.jobGroup.id") == "drain"))
+          jobs.incrementAndGet()
+    })(body)
+    jobs.get
   }
 }
 

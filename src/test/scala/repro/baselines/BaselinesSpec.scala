@@ -1,5 +1,7 @@
 package repro.baselines
 
+import org.apache.spark.ml.classification.LogisticRegression
+import org.apache.spark.ml.linalg.Vectors
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.execution.{GenerateExec, SparkPlan, UnionExec}
 import org.apache.spark.sql.execution.adaptive.{AdaptiveSparkPlanExec, QueryStageExec}
@@ -144,6 +146,52 @@ class BaselinesSpec extends SparkSpec {
     assert(pred.count() == flights.dirty.count() * flights.attrs.size)
   }
 
+  test("oracle: ActiveClean's logistic fit matches MLlib's LogisticRegression") {
+    import spark.implicits._
+    // Each set: its name, its training rows and the feature vectors to
+    // predict (on a dataset, those of its distinct cells, so every cell).
+    val fromData = Seq(hospital, flights).map { ds =>
+      val stats = CellStats.count(CellTable.tuples(ds.dirty, ds.attrs), ds.attrs, Seq.empty)
+      val features = ActiveClean.featurizer(stats)
+      val cells = stats.valueCounts.keys.toSeq.map { case (a, v) => features(a, v) }
+      (ds.name, ActiveClean.trainingRows(ds, stats), cells)
+    }
+    val rng = new scala.util.Random(5)
+    // Overlapping classes (so the optimum is finite), uneven weights.
+    val overlap = Seq.tabulate(60) { i =>
+      val label = if (i % 3 == 0) 1.0 else 0.0
+      (Array.fill(4)(rng.nextGaussian() + 0.7 * label), label, 0.5 + rng.nextDouble())
+    }
+    // The third feature is constant.
+    val constant = overlap.map { case (f, l, w) => (f.updated(2, 0.25), l, w) }
+    val synthetic = Seq("overlapping" -> overlap, "zero-variance" -> constant).map {
+      case (name, rows) =>
+        (name, rows, rows.map(_._1) ++ Seq.fill(200)(Array.fill(4)(2 * rng.nextGaussian())))
+    }
+    def relDiff(a: Double, b: Double) =
+      if (a == b) 0.0 else math.abs(a - b) / math.max(math.abs(a), math.abs(b))
+    for ((name, rows, cells) <- fromData ++ synthetic) {
+      assert(rows.map(_._2).distinct.size == 2, s"$name needs both labels")
+      val m = new LogisticRegression().setWeightCol("w").setMaxIter(50).fit(
+        rows.map { case (f, l, w) => (Vectors.dense(f), l, w) }.toDF("features", "label", "w"))
+      val (beta, b) = ActiveClean.fitLogistic(rows)
+      val (got, expected) = (beta :+ b, m.coefficients.toArray :+ m.intercept)
+      val rel = got.zip(expected).map { case (x, y) => relDiff(x, y) }.max
+      assert(rel <= 1e-6, s"$name: ${got.mkString(", ")} vs MLlib ${expected.mkString(", ")}")
+      val differ =
+        cells.count(x => ActiveClean.flags(beta, b, x) != (m.predict(Vectors.dense(x)) == 1.0))
+      assert(differ == 0, s"$name: $differ of ${cells.size} predictions differ from MLlib")
+    }
+  }
+
+  test("ActiveClean.detect starts at most 3 Spark jobs") {
+    // The tuple collect and the two reads of the labeled tuples; the fit
+    // starts none.
+    val input = flights  // loaded and cached outside the count
+    val jobs = jobsStarted(ActiveClean.detect(spark, input))
+    assert(jobs <= 3, s"$jobs Spark jobs")
+  }
+
   test("ActiveClean with its shallow features stays low-precision") {
     val m = Metrics.evaluate(ActiveClean.detect(spark, hospital), hospital.mask)
     assert(m.precision < 0.6, s"ActiveClean precision suspiciously high: $m")
@@ -268,8 +316,10 @@ class BaselinesSpec extends SparkSpec {
   }
 
   test("FM_ED input tokens scale with dataset size") {
-    val small = FMED.detect(spark, Datasets.load(spark, "flights", 0.05))
+    val smallDs = Datasets.load(spark, "flights", 0.05)
+    val small = FMED.detect(spark, smallDs)
     val big   = FMED.detect(spark, flights) // 0.1
+    smallDs.unpersist()
     assert(big.inputTokens > small.inputTokens)
   }
 }

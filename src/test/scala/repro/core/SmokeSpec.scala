@@ -12,6 +12,7 @@ class SmokeSpec extends SparkSpec {
     val t0 = System.nanoTime()
     val res = ZeroED.run(spark, ds)
     val ms = (System.nanoTime() - t0) / 1000000
+    ds.unpersist()
     info(s"hospital@0.3: ${res.metrics} tokens=${res.inputTokens}/${res.outputTokens} " +
          s"sampled=${res.nSampledCells} in ${ms}ms")
     assert(res.metrics.f1 > 0.3, s"unexpectedly low F1: ${res.metrics}")

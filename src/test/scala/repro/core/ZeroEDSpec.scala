@@ -1,7 +1,5 @@
 package repro.core
 
-import java.util.concurrent.atomic.AtomicInteger
-import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import repro.{SparkSpec, TestData}
 import repro.data.CellTable
 import repro.llm.ModelProfiles
@@ -68,17 +66,10 @@ class ZeroEDSpec extends SparkSpec {
   }
 
   test("a run starts two Spark jobs") {
-    // One read of the dirty table and one of the mask; the drain job of
-    // `listening` is not the run's.
-    val jobs = new AtomicInteger
-    val listener = new SparkListener {
-      override def onJobStart(e: SparkListenerJobStart): Unit =
-        if (!Option(e.properties).exists(_.getProperty("spark.jobGroup.id") == "drain"))
-          jobs.incrementAndGet()
-    }
+    // One read of the dirty table and one of the mask.
     val input = ds  // loaded and cached outside the count
-    listening(listener)(ZeroED.run(spark, input))
-    assert(jobs.get == 2, s"${jobs.get} Spark jobs")
+    val jobs = jobsStarted(ZeroED.run(spark, input))
+    assert(jobs == 2, s"$jobs Spark jobs")
   }
 
   test("driver-side cells equal the collected executor-side featurization") {

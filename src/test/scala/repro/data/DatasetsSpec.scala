@@ -56,6 +56,18 @@ class DatasetsSpec extends SparkSpec {
     val again = Datasets.load(spark, "hospital", 0.2)
     assert(again.dirty.orderBy("tid").collect().toSeq ==
            ds.dirty.orderBy("tid").collect().toSeq)
+    again.unpersist()
+  }
+
+  test("unpersist releases every cache of a loaded dataset") {
+    val sc = spark.sparkContext
+    val before = sc.getPersistentRDDs.size
+    val loaded = Datasets.load(spark, "flights", 0.05)
+    loaded.mask.cache()
+    loaded.dirty.count(); loaded.mask.count()
+    assert(sc.getPersistentRDDs.size == before + 2)
+    loaded.unpersist()
+    assert(sc.getPersistentRDDs.size == before)
   }
 
   test("oracle: per-type error counts match DuckDB over the mask") {
