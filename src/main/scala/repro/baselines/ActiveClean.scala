@@ -17,7 +17,7 @@ object ActiveClean {
   val LabeledTuples = 2
 
   def detect(spark: SparkSession, ds: EDataset): DataFrame = {
-    val stats = CellStats.count(CellTable.tuples(ds.dirty, ds.attrs), ds.attrs, Seq.empty)
+    val stats = CellStats.count(ds.tuples, ds.attrs, Seq.empty)
     val features = featurizer(stats)
     val labeled = trainingRows(ds, stats)
 
@@ -27,11 +27,12 @@ object ActiveClean {
       val n = stats.n.toDouble
       val vc = stats.valueCounts
       val meanVf = vc.values.sum / math.max(1.0, vc.size.toDouble) / n
-      CellTable.predict(ds)((_, row) =>
+      CellTable.predictions(spark, ds.tuples)((_, row) =>
         row.transform((a, v) => stats.valueCount(a, v) / n < meanVf))
     } else {
       val (beta, b) = fitLogistic(labeled)
-      CellTable.predict(ds)((_, row) => row.transform((a, v) => flags(beta, b, features(a, v))))
+      CellTable.predictions(spark, ds.tuples)((_, row) =>
+        row.transform((a, v) => flags(beta, b, features(a, v))))
     }
   }
 
@@ -54,7 +55,7 @@ object ActiveClean {
   private[baselines] def trainingRows(ds: EDataset,
                                       stats: CellStats): Seq[(Array[Double], Double, Double)] = {
     val features = featurizer(stats)
-    val labeled = CellTable.labeledTuples(ds, stats.n, "acLab", LabeledTuples).flatMap {
+    val labeled = CellTable.labeled(ds, "acLab", LabeledTuples).flatMap {
       case (_, row, isError) =>
         ds.attrs.map(a => (features(a, row(a)), if (isError(a)) 1.0 else 0.0))
     }

@@ -22,7 +22,7 @@ object DBoost {
   val MaxHistogramCardinality = 250
 
   def detect(spark: SparkSession, ds: EDataset): DataFrame = {
-    val stats = CellStats.count(CellTable.tuples(ds.dirty, ds.attrs), ds.attrs, Seq.empty)
+    val stats = CellStats.count(ds.tuples, ds.attrs, Seq.empty)
     val n = stats.n.toDouble
     val valCounts = stats.valueCounts
     val distinctPerAttr = valCounts.keys.groupBy(_._1).view.mapValues(_.size).toMap
@@ -51,6 +51,6 @@ object DBoost {
         }
         patRare || valRare || zOut
       }
-    CellTable.predict(ds)((_, row) => row.transform(flag))
+    CellTable.predictions(spark, ds.tuples)((_, row) => row.transform(flag))
   }
 }

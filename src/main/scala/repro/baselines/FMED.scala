@@ -6,9 +6,9 @@ import repro.llm.{ModelProfiles, SimLLM}
 import repro.util.TokenMeter
 
 /** FM_ED [19]: zero-shot LLM prompting over *every* tuple in isolation
-  * ("Is there an error in this tuple?"). One pass over the tuples invokes the
-  * simulated LLM once per tuple with accumulator-based token metering, so the
-  * full-dataset token cost (the paper's Fig. 8 axis) is measured from the
+  * ("Is there an error in this tuple?"). One pass over the tuples, on the
+  * driver, invokes the simulated LLM once per tuple and meters its tokens, so
+  * the full-dataset token cost (the paper's Fig. 8 axis) is measured from the
   * actual serialized prompts.
   */
 object FMED {
@@ -19,14 +19,11 @@ object FMED {
     val meter = TokenMeter(spark.sparkContext, s"fmed-${ds.name}")
     val profile = ModelProfiles.fmEd
     val attrs = ds.attrs
-    val name = ds.name
-    val errTypes = spark.sparkContext.broadcast(SimLLM.errorTypes(ds.mask))
-
-    val pred = CellTable.predict(ds) { (tid, row) =>
-      val ets = attrs.map(a => errTypes.value.getOrElse((tid, a), ""))
-      attrs.zip(SimLLM.fmedTuple(profile, meter, name, tid, attrs, attrs.map(row), ets))
-    }.cache()
-    pred.count() // run the pass so the meter is populated
+    // Sequential: the meter's accumulators are not thread-safe on the driver.
+    val pred = CellTable.predictions(spark, ds.tuples) { (tid, row) =>
+      val ets = attrs.map(a => ds.errTypes.getOrElse((tid, a), ""))
+      attrs.zip(SimLLM.fmedTuple(profile, meter, ds.name, tid, attrs, attrs.map(row), ets))
+    }
     Result(pred, meter.inputTokens, meter.outputTokens)
   }
 }

@@ -16,7 +16,7 @@ object Katara {
     // Each rhs attribute with the KB relations that judge it, in KB order.
     val kb = ds.spec.kb
     val byRhs = kb.map(_.rhsAttr).distinct.map(a => a -> kb.filter(_.rhsAttr == a))
-    CellTable.predict(ds) { (_, row) =>
+    CellTable.predictions(spark, ds.tuples) { (_, row) =>
       byRhs.map { case (rhs, rels) =>
         rhs -> rels.exists(rel => rel.mapping.get(row(rel.lhsAttr)).exists(_ != row(rhs)))
       }

@@ -1,5 +1,6 @@
 package repro.baselines
 
+import java.util.regex.Pattern
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.core.CellStats
 import repro.data.{CellTable, EDataset, FD}
@@ -30,14 +31,14 @@ object Nadeef {
 
   def detect(spark: SparkSession, ds: EDataset): DataFrame = {
     val fds = ds.spec.fds
-    val viol = fdViolations(fds,
-      CellStats.count(CellTable.tuples(ds.dirty, ds.attrs), ds.attrs, fdPairs(fds)))
-    // Not-null rules + regex pattern rules (the dataset's "manual criteria").
-    val patterns = ds.spec.nadeefPatterns
-    CellTable.predict(ds) { (_, row) =>
+    val viol = fdViolations(fds, CellStats.count(ds.tuples, ds.attrs, fdPairs(fds)))
+    // Not-null rules + regex pattern rules (the dataset's "manual criteria"),
+    // each pattern compiled once.
+    val patterns = ds.spec.nadeefPatterns.map { case (a, re) => a -> Pattern.compile(re) }
+    CellTable.predictions(spark, ds.tuples) { (_, row) =>
       val inFdGroup = fdFlagged(viol, row)
       row.transform { (a, v) =>
-        v.isEmpty || patterns.get(a).exists(re => !v.matches(re)) || inFdGroup(a)
+        v.isEmpty || patterns.get(a).exists(re => !re.matcher(v).matches()) || inFdGroup(a)
       }
     }
   }

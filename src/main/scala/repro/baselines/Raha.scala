@@ -20,9 +20,8 @@ object Raha {
   def detect(spark: SparkSession, ds: EDataset): DataFrame = {
     import spark.implicits._
     val fds = ds.spec.fds
-    // Every tuple in tid order: the k-means input order, the same however
-    // `ds.dirty` is partitioned.
-    val tuples = CellTable.tuples(ds.dirty, ds.attrs)
+    // Every tuple in tid order: the k-means input order.
+    val tuples = ds.tuples
     val stats = CellStats.count(tuples, ds.attrs, Nadeef.fdPairs(fds))
     val n = stats.n.toDouble
 
@@ -41,7 +40,7 @@ object Raha {
     )
 
     // Ground-truth labels on the two sampled tuples: tid → attr → is_error.
-    val labeled = CellTable.labeledTuples(ds, stats.n, "rahaLab", LabeledTuples)
+    val labeled = CellTable.labeled(ds, "rahaLab", LabeledTuples)
     val truth = labeled.map { case (t, _, isError) => t -> isError }.toMap
 
     // Strategy-profile propagation across attributes: a labeled erroneous

@@ -2,7 +2,7 @@ package repro.core
 
 import org.apache.spark.ml.linalg.DenseVector
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import repro.data.{CellTable, EDataset}
+import repro.data.EDataset
 import repro.llm.{Guideline, LLMProfile, ModelProfiles, SimLLM}
 import repro.util.{Par, TokenMeter}
 
@@ -37,9 +37,9 @@ object ZeroED {
   def run(spark: SparkSession, ds: EDataset, cfg: ZeroEDConfig = ZeroEDConfig()): ZeroEDResult = {
     val meter = TokenMeter(spark.sparkContext, s"zeroed-${ds.name}-${cfg.profile.name}")
 
-    // ---- step 1: feature representation (Section III-B), on one driver-side
-    // read of the dirty table (DESIGN.md § Spark layering)
-    val tuples = CellTable.tuples(ds.dirty, ds.attrs)
+    // ---- step 1: feature representation (Section III-B), on the tuples read
+    // to the driver at load (DESIGN.md § Spark layering)
+    val tuples = ds.tuples
     val corr: Map[String, Seq[String]] =
       if (cfg.useCorr) Correlation.topK(tuples, ds.attrs, cfg.corrK)
       else ds.attrs.map(_ -> Seq.empty[String]).toMap
@@ -48,7 +48,7 @@ object ZeroED {
     val model = FeatureModel.fit(ds, tuples, corr, cfg.profile, meter, opts)
     val attrCells = model.featurize(tuples)
     val rowCtx = tuples.toMap
-    val errTypes = SimLLM.errorTypes(ds.mask)
+    val errTypes = ds.errTypes
 
     // ---- step 2: clustering-based sampling + guideline-driven labeling
     val s = Sampling.clusterCount(tuples.length.toLong, cfg.labelRate)

@@ -1,7 +1,6 @@
 package repro.data
 
-import org.apache.spark.sql.{DataFrame, Row}
-import org.apache.spark.sql.functions.col
+import org.apache.spark.sql.{DataFrame, Row, SparkSession}
 import repro.util.Rng
 
 /** Cell-level tables, keyed like the mask by (tid, attr): the dirty tuples on
@@ -19,33 +18,28 @@ object CellTable {
   private def values(r: Row, attrs: Seq[String]): Map[String, String] =
     attrs.map(a => a -> r.getAs[String](a)).toMap
 
-  /** The (tid, attr, pred) rows `judge` gives each dirty tuple from its tid
-    * and attr→value map, in one pass over the tuples. `judge` runs on the
-    * executors, so it must not capture `ds`.
+  /** The (tid, attr, pred) rows `judge` gives each tuple from its tid and
+    * attr→value map, judged on the driver, as a local DataFrame: building it,
+    * and collecting it again, starts no Spark job.
     */
-  def predict(ds: EDataset)(
+  def predictions(spark: SparkSession, tuples: Array[(Long, Map[String, String])])(
       judge: (Long, Map[String, String]) => Iterable[(String, Boolean)]): DataFrame = {
-    val spark = ds.dirty.sparkSession
     import spark.implicits._
-    val attrs = ds.attrs
-    ds.dirty.flatMap { r =>
-      val tid = r.getAs[Long]("tid")
-      judge(tid, values(r, attrs)).map { case (a, p) => (tid, a, p) }
+    tuples.toSeq.flatMap { case (tid, row) =>
+      judge(tid, row).map { case (a, p) => (tid, a, p) }
     }.toDF("tid", "attr", "pred")
   }
 
   /** The tuples a baseline has labeled by hand: `count` tids drawn from the
-    * `n` tuples under `key` (duplicates drawn once), each with its values and
-    * its mask labels (attr → is_error), in tid order.
+    * dataset's tuples under `key` (duplicates drawn once), each with its
+    * values and its mask labels (attr → is_error), in tid order.
     */
-  def labeledTuples(ds: EDataset, n: Long, key: String,
-                    count: Int): Seq[(Long, Map[String, String], Map[String, Boolean])] = {
-    val tids = (0 until count).map(i => Rng.int(n.toInt, ds.name, key, i).toLong).distinct
-    val inLab = col("tid").isin(tids: _*)
-    val rows = ds.dirty.where(inLab).collect()
-      .map(r => r.getAs[Long]("tid") -> values(r, ds.attrs)).toMap
-    val isError = ds.mask.where(inLab).select("tid", "attr", "is_error").collect()
-      .groupMap(_.getLong(0))(r => r.getString(1) -> r.getBoolean(2))
-    tids.sorted.map(t => (t, rows(t), isError(t).toMap))
+  def labeled(ds: EDataset, key: String,
+              count: Int): Seq[(Long, Map[String, String], Map[String, Boolean])] = {
+    val n = ds.tuples.length
+    val tids = (0 until count).map(i => Rng.int(n, ds.name, key, i).toLong).toSet
+    ds.tuples.toSeq.collect { case (t, row) if tids(t) =>
+      (t, row, ds.attrs.map(a => a -> ds.errTypes.contains((t, a))).toMap)
+    }
   }
 }

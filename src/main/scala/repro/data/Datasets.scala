@@ -11,9 +11,17 @@ import org.apache.spark.sql.types._
   * string (ED literature convention — detectors must not rely on typed
   * schemas the dirty data would not have). All three are views of `wide`,
   * the cached table generation fills once.
+  *
+  * `tuples` and `errTypes` are the driver-side forms that ZeroED and the
+  * baselines read, filled by one collect of `wide` at load: every dirty tuple
+  * as (tid, attr→value), sorted by tid (the form of `CellTable.tuples`), and
+  * the ground truth, the err_type of each erroneous (tid, attr) cell (the
+  * form of `SimLLM.errorTypes`).
   */
 final case class EDataset(spec: DatasetSpec, dirty: DataFrame,
-                          clean: DataFrame, mask: DataFrame, wide: DataFrame) {
+                          clean: DataFrame, mask: DataFrame, wide: DataFrame,
+                          tuples: Array[(Long, Map[String, String])],
+                          errTypes: Map[(Long, String), String]) {
   def name: String = spec.name
   def attrs: IndexedSeq[String] = spec.attrNames
 
@@ -54,14 +62,31 @@ object Datasets {
       (attrs.map(a => StructField(s"c_$a", StringType, nullable = false)) ++
        attrs.map(a => StructField(s"d_$a", StringType, nullable = false)) ++
        attrs.map(a => StructField(s"e_$a", StringType, nullable = false)))
-    val wide = spark.createDataFrame(rowRdd, StructType(fields)).cache()
+    fromWide(spec, spark.createDataFrame(rowRdd, StructType(fields)).cache())
+  }
 
+  /** The dataset whose tables are views of `wide`, with its driver-side
+    * forms read in one collect of `wide`'s tid, dirty and error-type columns.
+    */
+  private[repro] def fromWide(spec: DatasetSpec, wide: DataFrame): EDataset = {
+    val attrs = spec.attrNames
     val clean = wide.select(col("tid") +: attrs.map(a => col(s"c_$a").as(a)): _*)
     val dirty = wide.select(col("tid") +: attrs.map(a => col(s"d_$a").as(a)): _*)
     val stackArgs = attrs.map(a => s"'$a', e_$a").mkString(", ")
     val mask = wide
       .selectExpr("tid", s"stack(${attrs.size}, $stackArgs) as (attr, err_type)")
       .withColumn("is_error", col("err_type") =!= lit(""))
-    EDataset(spec, dirty, clean, mask, wide)
+
+    // Columns 1..|A| are the dirty values, |A|+1..2|A| the error types.
+    val rows = wide.select(col("tid") +: (attrs.map(a => col(s"d_$a")) ++
+                                          attrs.map(a => col(s"e_$a"))): _*)
+      .collect().sortBy(_.getLong(0))
+    val tuples = rows.map(r =>
+      r.getLong(0) -> attrs.indices.map(j => attrs(j) -> r.getString(1 + j)).toMap)
+    val errTypes = rows.flatMap { r =>
+      attrs.indices.map(j => (r.getLong(0), attrs(j)) -> r.getString(1 + attrs.size + j))
+        .filter(_._2.nonEmpty)
+    }.toMap
+    EDataset(spec, dirty, clean, mask, wide, tuples, errTypes)
   }
 }

@@ -23,9 +23,11 @@ object Runner {
   def dataset(spark: SparkSession, name: String, sc: Double = scale): EDataset =
     synchronized {
       dsCache.getOrElseUpdate((name, sc), {
+        // Methods read the tuples and ground truth held since load; only
+        // `Metrics.evaluate` reads the mask.
         val ds = Datasets.load(spark, name, sc)
-        ds.dirty.cache(); ds.mask.cache()
-        ds.dirty.count(); ds.mask.count()
+        ds.mask.cache()
+        ds.mask.count()
         ds
       })
     }
@@ -59,9 +61,7 @@ object Runner {
         r.pred
       case other => throw new IllegalArgumentException(s"unknown baseline $other")
     }
-    val prf = Metrics.evaluate(pred, ds.mask)
-    pred.unpersist() // FM_ED caches its predictions
-    prf
+    Metrics.evaluate(pred, ds.mask)
   }
 
   private val fmedTok = scala.collection.mutable.Map.empty[String, (Long, Long)]

@@ -7,9 +7,10 @@ import org.apache.spark.util.LongAccumulator
   *
   * The paper's efficiency claims are in token counts; we meter the *actual
   * serialized prompt/response strings* the simulated calls would exchange,
-  * using the common ~4-characters-per-token estimate. Accumulators make the
-  * meter usable from executor-side UDFs (FM_ED labels every tuple through a
-  * DataFrame UDF) as well as driver-side workflows (ZeroED's sampled calls).
+  * using the common ~4-characters-per-token estimate. The totals are
+  * accumulators registered on the SparkContext, which also count the calls.
+  * Every call is made on the driver; an accumulator's `add` is not
+  * thread-safe there, so one meter takes one call at a time.
   */
 final class TokenMeter(val input: LongAccumulator, val output: LongAccumulator)
     extends Serializable {

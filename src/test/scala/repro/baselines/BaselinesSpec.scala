@@ -184,14 +184,6 @@ class BaselinesSpec extends SparkSpec {
     }
   }
 
-  test("ActiveClean.detect starts at most 3 Spark jobs") {
-    // The tuple collect and the two reads of the labeled tuples; the fit
-    // starts none.
-    val input = flights  // loaded and cached outside the count
-    val jobs = jobsStarted(ActiveClean.detect(spark, input))
-    assert(jobs <= 3, s"$jobs Spark jobs")
-  }
-
   test("ActiveClean with its shallow features stays low-precision") {
     val m = Metrics.evaluate(ActiveClean.detect(spark, hospital), hospital.mask)
     assert(m.precision < 0.6, s"ActiveClean precision suspiciously high: $m")
@@ -210,11 +202,35 @@ class BaselinesSpec extends SparkSpec {
     assert(m.recall < 0.9, s"Raha recall too high for 2 labels: $m")
   }
 
+  // -------------------------------------------------------------- Spark jobs
+  test("every detect starts no Spark job on a loaded dataset") {
+    // Each judges the tuples and reads the labels the dataset holds since
+    // load, and returns a local DataFrame.
+    val input = flights  // loaded outside the count
+    val detectors = Seq[(String, EDataset => Any)](
+      "dBoost" -> (DBoost.detect(spark, _)), "Nadeef" -> (Nadeef.detect(spark, _)),
+      "Katara" -> (Katara.detect(spark, _)), "ActiveClean" -> (ActiveClean.detect(spark, _)),
+      "Raha" -> (Raha.detect(spark, _)), "FM_ED" -> (FMED.detect(spark, _)))
+    for ((name, detect) <- detectors) {
+      val jobs = jobsStarted(detect(input))
+      assert(jobs == 0, s"$name: $jobs Spark jobs")
+    }
+  }
+
+  test("Metrics.evaluate of a driver-built prediction starts one Spark job") {
+    // The flagged cells are collected from the local DataFrame; the one job
+    // reads the mask.
+    val pred = DBoost.detect(spark, flights)
+    val jobs = jobsStarted(Metrics.evaluate(pred, flights.mask))
+    assert(jobs == 1, s"$jobs Spark jobs")
+  }
+
   // ------------------------------------------------------------ partitioning
   test("predictions do not depend on how the input tables are partitioned") {
     val ds = TestData.get(spark, "flights", 1.0)
     def preds(n: Int, detect: EDataset => DataFrame) =
-      detect(ds.copy(dirty = ds.dirty.repartition(n), mask = ds.mask.repartition(n)))
+      detect(ds.copy(tuples = CellTable.tuples(ds.dirty.repartition(n), ds.attrs),
+                     errTypes = SimLLM.errorTypes(ds.mask.repartition(n))))
         .collect().map(r => (r.getAs[Long]("tid"), r.getAs[String]("attr"),
                              r.getAs[Boolean]("pred"))).toSet
     val detectors = Seq[(String, EDataset => DataFrame)](
@@ -236,7 +252,7 @@ class BaselinesSpec extends SparkSpec {
       withClue(s"$name on ${ds.name}: ")(assertOnePass(detect(ds)))
     }
     // With no error among its labeled cells, ActiveClean fits no model.
-    val allClean = hospital.copy(mask = hospital.mask.withColumn("is_error", lit(false)))
+    val allClean = hospital.copy(errTypes = Map.empty)
     withClue("ActiveClean without a model: ")(assertOnePass(ActiveClean.detect(spark, allClean)))
   }
 

@@ -1,8 +1,8 @@
 package repro.core
 
 import repro.{SparkSpec, TestData}
-import repro.data.CellTable
-import repro.llm.ModelProfiles
+import repro.data.{CellTable, Datasets}
+import repro.llm.{ModelProfiles, SimLLM}
 import repro.util.TokenMeter
 
 /** Pipeline-level behavior beyond the smoke run (small scales for speed). */
@@ -57,19 +57,21 @@ class ZeroEDSpec extends SparkSpec {
   }
 
   test("a run reads the mask once") {
-    val reads = spark.sparkContext.longAccumulator("mask-partition-reads")
-    val mask = spark.createDataFrame(
-      ds.mask.rdd.mapPartitions { it => reads.add(1); it }, ds.mask.schema)
-    ZeroED.run(spark, ds.copy(mask = mask))
-    val parts = mask.rdd.getNumPartitions
-    assert(reads.value == parts, s"${reads.value} partition reads of a $parts-partition mask")
+    // The mask is a view of `wide`: load reads `wide` once, and the run reads
+    // the ground truth held since then.
+    val reads = spark.sparkContext.longAccumulator("wide-partition-reads")
+    val wide = spark.createDataFrame(
+      ds.wide.rdd.mapPartitions { it => reads.add(1); it }, ds.wide.schema)
+    ZeroED.run(spark, Datasets.fromWide(ds.spec, wide))
+    val parts = wide.rdd.getNumPartitions
+    assert(reads.value == parts, s"${reads.value} partition reads of a $parts-partition table")
   }
 
-  test("a run starts two Spark jobs") {
-    // One read of the dirty table and one of the mask.
-    val input = ds  // loaded and cached outside the count
+  test("a run starts no Spark job") {
+    // It reads the tuples and the ground truth the dataset holds since load.
+    val input = ds  // loaded outside the count
     val jobs = jobsStarted(ZeroED.run(spark, input))
-    assert(jobs == 2, s"$jobs Spark jobs")
+    assert(jobs == 0, s"$jobs Spark jobs")
   }
 
   test("driver-side cells equal the collected executor-side featurization") {
@@ -91,7 +93,8 @@ class ZeroEDSpec extends SparkSpec {
 
   test("results do not depend on how the input tables are partitioned") {
     def run(n: Int) = ZeroED.run(spark,
-      ds.copy(dirty = ds.dirty.repartition(n), mask = ds.mask.repartition(n)))
+      ds.copy(tuples = CellTable.tuples(ds.dirty.repartition(n), ds.attrs),
+              errTypes = SimLLM.errorTypes(ds.mask.repartition(n))))
     val (one, six) = (run(1), run(6))
     assert(one.metrics == six.metrics, s"${one.metrics} vs ${six.metrics}")
     assert((one.inputTokens, one.outputTokens) == (six.inputTokens, six.outputTokens))

@@ -42,9 +42,9 @@ class CellTableSpec extends SparkSpec {
       "dirty" -> ds.dirty)
   }
 
-  test("predict hands each tuple's values to the judgement, keyed by tid") {
+  test("predictions hands each tuple's values to the judgement, keyed by tid") {
     val judgedAttrs = ds.attrs.filter(_ != "city")
-    val judged = CellTable.predict(ds)((tid, row) =>
+    val judged = CellTable.predictions(spark, ds.tuples)((tid, row) =>
       judgedAttrs.map(a => a -> ((row(a).length + tid) % 2 == 0)))
       .collect().map(r => (r.getLong(0), r.getString(1), r.getBoolean(2))).toSet
     val melted = cells(ds.dirty, ds.attrs).where(col("attr") =!= "city").collect().map { r =>
@@ -54,9 +54,9 @@ class CellTableSpec extends SparkSpec {
     assert(judged == melted)
   }
 
-  test("labeledTuples reads each drawn tuple's values and mask labels") {
+  test("labeled reads each drawn tuple's values and mask labels") {
     val n = ds.dirty.count()
-    val labeled = CellTable.labeledTuples(ds, n, "spec", 3)
+    val labeled = CellTable.labeled(ds, "spec", 3)
     val tids = (0 until 3).map(i => repro.util.Rng.int(n.toInt, ds.name, "spec", i).toLong)
     assert(labeled.map(_._1) == tids.distinct.sorted)
     val melted = cells(ds.dirty, ds.attrs).collect()

@@ -2,6 +2,7 @@ package repro.data
 
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec, TestData}
+import repro.llm.SimLLM
 
 class DatasetsSpec extends SparkSpec {
 
@@ -68,6 +69,17 @@ class DatasetsSpec extends SparkSpec {
     assert(sc.getPersistentRDDs.size == before + 2)
     loaded.unpersist()
     assert(sc.getPersistentRDDs.size == before)
+  }
+
+  test("load reads the dirty tuples and error types, however wide is partitioned") {
+    assert(ds.tuples.toSeq == CellTable.tuples(ds.dirty, ds.attrs).toSeq)
+    assert(ds.errTypes == SimLLM.errorTypes(ds.mask))
+    assert(ds.errTypes.nonEmpty)
+    val Seq(one, six) = Seq(1, 6).map(n => Datasets.fromWide(ds.spec, ds.wide.repartition(n)))
+    for (d <- Seq(one, six)) {
+      assert(d.tuples.toSeq == ds.tuples.toSeq)
+      assert(d.errTypes == ds.errTypes)
+    }
   }
 
   test("oracle: per-type error counts match DuckDB over the mask") {
