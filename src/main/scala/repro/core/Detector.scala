@@ -5,10 +5,7 @@ import breeze.optimize.{CachedDiffFunction, DiffFunction, LBFGS}
 import org.apache.spark.ml.linalg.Vector
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
-import repro.util.Rng
-
-import scala.concurrent.{Await, ExecutionContext, Future}
-import scala.concurrent.duration.Duration
+import repro.util.{Par, Rng}
 
 /** A [dim, hidden, 2] network: a sigmoid hidden layer and a softmax output
   * trained with cross-entropy. Its weights are one flat array: W1
@@ -19,6 +16,10 @@ private[core] final case class Mlp(dim: Int, hidden: Int) {
   private val oW2 = oB1 + hidden
   private val oB2 = oW2 + 2 * hidden
   val nWeights: Int = oB2 + 2
+
+  /** A zero gradient in `blockSums`' layout: W1's rows, then b1, W2 and b2. */
+  def gradRows(): Array[Array[Double]] =
+    Array.tabulate(hidden + 1)(j => new Array[Double](if (j < hidden) dim else nWeights - oB1))
 
   /** U(-2.4, 2.4) / sqrt(fan-in) for every weight and bias (MLlib's range). */
   def init(seed: Long): Array[Double] = Array.tabulate(nWeights) { i =>
@@ -52,40 +53,44 @@ private[core] final case class Mlp(dim: Int, hidden: Int) {
     z(1) > z(0)
   }
 
-  /** Example-weighted cross-entropy summed over rows [lo, hi) of `ex`; adds
-    * the weighted gradient sum into `g`. Every term is the row weight times a
-    * weight-free quantity, so scaling all weights by two scales both sums
-    * exactly.
+  /** The sums over rows [lo, hi) of `ex`, one pair per `block` rows, in
+    * block order: the example-weighted cross-entropy and its gradient, held
+    * as W1's rows followed by the rest of the weights (b1, W2, b2). Every term
+    * is the row weight times a weight-free quantity, so scaling all weights
+    * by two scales both sums exactly.
     */
-  def lossGradSum(w: Array[Double], ex: Examples, lo: Int, hi: Int, g: Array[Double]): Double = {
-    val nb = hi - lo
-    val xb = new Array[Double](nb * dim)  // the block's rows, nb × dim
-    val xt = new Array[Double](dim * nb)  // and transposed
-    var r = 0
-    while (r < nb) {
-      val x = ex.x(lo + r)
-      System.arraycopy(x, 0, xb, r * dim, dim)
-      var k = 0
-      while (k < dim) { xt(k * nb + r) = x(k); k += 1 }
-      r += 1
-    }
-    // Hidden pre-activations of every row: b1 + W1 · x.
-    val a = new Array[Double](nb * hidden)
-    r = 0
-    while (r < nb) { System.arraycopy(w, oB1, a, r * hidden, hidden); r += 1 }
-    Mlp.dots(xb, 0, w, 0, nb, hidden, dim, a)
+  def blockSums(w: Array[Double], ex: Examples, lo: Int, hi: Int,
+                block: Int): Seq[(Double, Array[Array[Double]])] = {
+    val w1t = Array.tabulate(dim, hidden)((k, j) => w(j * dim + k))  // W1's columns
+    (lo until hi by block).map(b => blockSum(w, w1t, ex, b, math.min(hi, b + block)))
+  }
 
+  /** `blockSums`' sums over rows [lo, hi) of `ex`. Each pre-activation is b1
+    * plus its W1 · x terms in feature order, and each W1 gradient entry the
+    * sum of its rows' terms in row order: the same sums, rounded the same
+    * way, as one dot product at a time. Both are `Mlp.addProducts` over
+    * whole arrays: the pre-activations of a row sum W1's columns scaled by
+    * its features, and W1's gradient row j sums the block's rows scaled by
+    * their unit-j deltas.
+    */
+  private def blockSum(w: Array[Double], w1t: Array[Array[Double]], ex: Examples,
+                       lo: Int, hi: Int): (Double, Array[Array[Double]]) = {
+    val g = gradRows()
+    val rest = g(hidden)
+    val a = new Array[Double](hidden)
     val h = new Array[Double](hidden)
     val z = new Array[Double](2)
     val d = new Array[Double](2)
-    val dht = new Array[Double](hidden * nb)  // hidden deltas, hidden × nb
+    val dh = Array.ofDim[Double](hidden, hi - lo)  // hidden deltas, unit × row
     var loss = 0.0
-    r = 0
-    while (r < nb) {
+    var r = 0
+    while (r < hi - lo) {
       val wt = ex.weight(lo + r)
       val y = ex.y(lo + r)
+      System.arraycopy(w, oB1, a, 0, hidden)
+      Mlp.addProducts(ex.x(lo + r), w1t, a)
       var j = 0
-      while (j < hidden) { h(j) = 1.0 / (1.0 + math.exp(-a(r * hidden + j))); j += 1 }
+      while (j < hidden) { h(j) = 1.0 / (1.0 + math.exp(-a(j))); j += 1 }
       output(w, h, z)
       val m = math.max(z(0), z(1))
       val lse = m + math.log(math.exp(z(0) - m) + math.exp(z(1) - m))
@@ -93,28 +98,53 @@ private[core] final case class Mlp(dim: Int, hidden: Int) {
       var c = 0
       while (c < 2) {
         d(c) = wt * (math.exp(z(c) - lse) - (if (y == c) 1.0 else 0.0))
-        g(oB2 + c) += d(c)
-        val row = oW2 + c * hidden
+        rest(oB2 - oB1 + c) += d(c)
+        val row = oW2 - oB1 + c * hidden
         j = 0
-        while (j < hidden) { g(row + j) += d(c) * h(j); j += 1 }
+        while (j < hidden) { rest(row + j) += d(c) * h(j); j += 1 }
         c += 1
       }
       j = 0
       while (j < hidden) {
-        val dh = (w(oW2 + j) * d(0) + w(oW2 + hidden + j) * d(1)) * h(j) * (1.0 - h(j))
-        g(oB1 + j) += dh
-        dht(j * nb + r) = dh
+        dh(j)(r) = (w(oW2 + j) * d(0) + w(oW2 + hidden + j) * d(1)) * h(j) * (1.0 - h(j))
+        rest(j) += dh(j)(r)
         j += 1
       }
       r += 1
     }
     // W1's gradient: the sum over the block's rows of dh · x.
-    Mlp.dots(dht, 0, xt, 0, hidden, dim, nb, g)
-    loss
+    val xs = java.util.Arrays.copyOfRange(ex.x, lo, hi)
+    var j = 0
+    while (j < hidden) { Mlp.addProducts(dh(j), xs, g(j)); j += 1 }
+    (loss, g)
   }
 }
 
 private[core] object Mlp {
+
+  /** y(i) += s(0) * xs(0)(i) + s(1) * xs(1)(i) + ... for every index i of
+    * `y`, the terms added one at a time in order. Every loop reads its arrays
+    * from index 0 by the loop variable, so C2 compiles it to vector
+    * multiplies and adds; it never fuses them, so every entry is rounded as
+    * in scalar code. Four terms share a pass over `y`.
+    */
+  def addProducts(s: Array[Double], xs: Array[Array[Double]], y: Array[Double]): Unit = {
+    val n = y.length
+    var t = 0
+    while (t + 4 <= s.length) {
+      val s0 = s(t); val s1 = s(t + 1); val s2 = s(t + 2); val s3 = s(t + 3)
+      val x0 = xs(t); val x1 = xs(t + 1); val x2 = xs(t + 2); val x3 = xs(t + 3)
+      var i = 0
+      while (i < n) { y(i) = (((y(i) + s0 * x0(i)) + s1 * x1(i)) + s2 * x2(i)) + s3 * x3(i); i += 1 }
+      t += 4
+    }
+    while (t < s.length) {
+      val st = s(t); val xt = xs(t)
+      var i = 0
+      while (i < n) { y(i) += st * xt(i); i += 1 }
+      t += 1
+    }
+  }
 
   /** out(i * nj + j) += Σ_l p(pOff + i * nl + l) * q(qOff + j * nl + l) for
     * i < ni, j < nj, each sum taken in l order onto the value already in
@@ -220,6 +250,8 @@ object Detector {
     * depend on the thread count.
     */
   private val BlockSize = 64
+  /** Rows per task: whole blocks, enough work to outweigh scheduling it. */
+  private val ChunkSize = 4 * BlockSize
 
   /** Fit on (features, is-error) rows and return the predictor. The fit
     * depends only on the multiset of rows; with fewer than two classes, which
@@ -246,40 +278,42 @@ object Detector {
   }
 
   /** The weighted-mean cross-entropy of `ex` at `w` and its gradient. Each
-    * 64-row block's sums are computed on its own (in parallel) and added in
-    * block order, so the result is the same on any thread count.
+    * 64-row block's sums are computed on its own, `ChunkSize` rows to a task
+    * (in parallel), and added in block order, so the result is the same on
+    * any thread count.
     */
   private[core] def lossGrad(mlp: Mlp, ex: Examples, w: Array[Double]): (Double, Array[Double]) = {
-    implicit val ec: ExecutionContext = ExecutionContext.global
-    val nBlocks = (ex.size + BlockSize - 1) / BlockSize
-    val parts = Await.result(Future.traverse((0 until nBlocks).toVector) { b =>
-      Future {
-        val g = new Array[Double](mlp.nWeights)
-        val loss = mlp.lossGradSum(w, ex, b * BlockSize, math.min(ex.size, (b + 1) * BlockSize), g)
-        (loss, g)
-      }
-    }, Duration.Inf)
+    val chunks = (0 until ex.size by ChunkSize).map(lo => (lo, math.min(ex.size, lo + ChunkSize)))
+    val blocks = Par.map(chunks) { case (lo, hi) => mlp.blockSums(w, ex, lo, hi, BlockSize) }
     var loss = 0.0
-    val grad = new Array[Double](mlp.nWeights)
-    parts.foreach { case (l, g) =>
+    val sum = mlp.gradRows()
+    blocks.flatten.foreach { case (l, g) =>
       loss += l
-      var i = 0
-      while (i < grad.length) { grad(i) += g(i); i += 1 }
+      var j = 0
+      while (j < g.length) {
+        val gj = g(j); val sj = sum(j)
+        var k = 0
+        while (k < sj.length) { sj(k) += gj(k); k += 1 }
+        j += 1
+      }
     }
-    var i = 0
-    while (i < grad.length) { grad(i) /= ex.totalWeight; i += 1 }
-    (loss / ex.totalWeight, grad)
+    (loss / ex.totalWeight, sum.flatten.map(_ / ex.totalWeight))
   }
 
   /** Minimize `lossGrad` with L-BFGS from the `Rng` initialization. */
-  private[core] def weights(mlp: Mlp, ex: Examples, seed: Long): Array[Double] = {
+  private[core] def weights(mlp: Mlp, ex: Examples, seed: Long): Array[Double] =
+    minimize(mlp.init(seed), w => lossGrad(mlp, ex, w))
+
+  /** Minimize `objective` (the loss and its gradient) with L-BFGS from `init`. */
+  private[core] def minimize(init: Array[Double],
+                             objective: Array[Double] => (Double, Array[Double])): Array[Double] = {
     val f = new DiffFunction[BDV[Double]] {
       def calculate(x: BDV[Double]): (Double, BDV[Double]) = {
-        val (loss, grad) = lossGrad(mlp, ex, x.toArray)
+        val (loss, grad) = objective(x.toArray)
         (loss, BDV(grad))
       }
     }
     val lbfgs = new LBFGS[BDV[Double]](MaxIter, Memory, Tolerance)
-    lbfgs.minimize(new CachedDiffFunction(f), BDV(mlp.init(seed))).toArray
+    lbfgs.minimize(new CachedDiffFunction(f), BDV(init)).toArray
   }
 }

@@ -4,8 +4,10 @@ import org.apache.spark.ml.linalg.{Vector, Vectors}
 import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
-import repro.SparkSpec
-import repro.util.Rng
+import repro.{SparkSpec, TestData}
+import repro.data.EDataset
+import repro.llm.SimLLM
+import repro.util.{Rng, TokenMeter}
 
 class DetectorSpec extends SparkSpec {
 
@@ -162,6 +164,133 @@ class DetectorSpec extends SparkSpec {
       for (l <- 0 until nl) s += p(i * nl + l) * q(2 + j * nl + l)
       assert(out(i * nj + j) == s, s"($i, $j)")
     }
+  }
+
+  /** Example-weighted cross-entropy summed over rows [lo, hi) of `ex`, with
+    * its weighted gradient sum added into `g`: the objective computed one row
+    * and one tiled dot product at a time.
+    */
+  private def lossGradSum(mlp: Mlp, w: Array[Double], ex: Examples, lo: Int, hi: Int,
+                          g: Array[Double]): Double = {
+    val (dim, hidden) = (mlp.dim, mlp.hidden)
+    val oB1 = hidden * dim; val oW2 = oB1 + hidden; val oB2 = oW2 + 2 * hidden
+    def output(h: Array[Double], z: Array[Double]): Unit =
+      for (c <- 0 until 2) {
+        var s = w(oB2 + c)
+        for (j <- 0 until hidden) s += w(oW2 + c * hidden + j) * h(j)
+        z(c) = s
+      }
+    val nb = hi - lo
+    val xb = new Array[Double](nb * dim)  // the block's rows, nb × dim
+    val xt = new Array[Double](dim * nb)  // and transposed
+    for (r <- 0 until nb; k <- 0 until dim) {
+      xb(r * dim + k) = ex.x(lo + r)(k); xt(k * nb + r) = ex.x(lo + r)(k)
+    }
+    // Hidden pre-activations of every row: b1 + W1 · x.
+    val a = new Array[Double](nb * hidden)
+    for (r <- 0 until nb) System.arraycopy(w, oB1, a, r * hidden, hidden)
+    Mlp.dots(xb, 0, w, 0, nb, hidden, dim, a)
+
+    val h = new Array[Double](hidden)
+    val z = new Array[Double](2)
+    val d = new Array[Double](2)
+    val dht = new Array[Double](hidden * nb)  // hidden deltas, hidden × nb
+    var loss = 0.0
+    for (r <- 0 until nb) {
+      val wt = ex.weight(lo + r)
+      val y = ex.y(lo + r)
+      for (j <- 0 until hidden) h(j) = 1.0 / (1.0 + math.exp(-a(r * hidden + j)))
+      output(h, z)
+      val m = math.max(z(0), z(1))
+      val lse = m + math.log(math.exp(z(0) - m) + math.exp(z(1) - m))
+      loss += wt * (lse - z(y))
+      for (c <- 0 until 2) {
+        d(c) = wt * (math.exp(z(c) - lse) - (if (y == c) 1.0 else 0.0))
+        g(oB2 + c) += d(c)
+        for (j <- 0 until hidden) g(oW2 + c * hidden + j) += d(c) * h(j)
+      }
+      for (j <- 0 until hidden) {
+        val dh = (w(oW2 + j) * d(0) + w(oW2 + hidden + j) * d(1)) * h(j) * (1.0 - h(j))
+        g(oB1 + j) += dh
+        dht(j * nb + r) = dh
+      }
+    }
+    // W1's gradient: the sum over the block's rows of dh · x.
+    Mlp.dots(dht, 0, xt, 0, hidden, dim, nb, g)
+    loss
+  }
+
+  /** The oracle of `Detector.lossGrad`: `lossGradSum` of each 64-row block,
+    * one block after another, the blocks' sums added in block order.
+    */
+  private def sequentialLossGrad(mlp: Mlp, ex: Examples, w: Array[Double]): (Double, Array[Double]) = {
+    var loss = 0.0
+    val grad = new Array[Double](mlp.nWeights)
+    for (lo <- 0 until ex.size by 64) {
+      val g = new Array[Double](mlp.nWeights)
+      loss += lossGradSum(mlp, w, ex, lo, math.min(ex.size, lo + 64), g)
+      for (i <- grad.indices) grad(i) += g(i)
+    }
+    (loss / ex.totalWeight, grad.map(_ / ex.totalWeight))
+  }
+
+  test("the objective equals the sequential block-by-block oracle, bit for bit") {
+    // A partial block (10, 65), a partial chunk (257, 1000) and vector tails
+    // (dim 3, 6 and 87; 65 and 257 rows).
+    for ((dim, hidden, rows) <- Seq((3, 4, 10), (6, 5, 64), (6, 5, 65), (87, 32, 257), (87, 32, 1000))) {
+      val mlp = Mlp(dim, hidden)
+      val ex = Examples(
+        Array.tabulate(rows)(i => Array.tabulate(dim)(k => Rng.unif("ox", dim, i, k) * 2 - 1)),
+        Array.tabulate(rows)(i => if (Rng.bool(0.3, "oy", dim, i)) 1 else 0),
+        Array.tabulate(rows)(i => (1 + i % 3).toDouble))
+      val w = mlp.init(rows.toLong)
+      val (loss, grad) = Detector.lossGrad(mlp, ex, w)
+      val (wantLoss, wantGrad) = sequentialLossGrad(mlp, ex, w)
+      val shape = s"($dim, $hidden, $rows)"
+      assert(loss == wantLoss, shape)
+      assert(grad.length == wantGrad.length, shape)
+      val differ = grad.indices.filter(i => grad(i) != wantGrad(i))
+      assert(differ.isEmpty, s"$shape: ${differ.size} gradient entries differ, first ${differ.headOption}")
+    }
+  }
+
+  /** The (features, is-error) rows `ZeroED.run` fits its detector on, for
+    * `ds` under the default config (its steps 1 to 3), and the feature width.
+    */
+  private def zeroedTrainingRows(ds: EDataset): (Seq[(Array[Double], Boolean)], Int) = {
+    val cfg = ZeroEDConfig()
+    val meter = TokenMeter.local()
+    val tuples = ds.tuples
+    val corr = Correlation.topK(tuples, ds.attrs, cfg.corrK)
+    val model = FeatureModel.fit(ds, tuples, corr, cfg.profile, meter, FeatureOpts(corrK = cfg.corrK))
+    val attrCells = model.featurize(tuples)
+    val rowCtx = tuples.toMap
+    val s = Sampling.clusterCount(tuples.length.toLong, cfg.labelRate)
+    val clusters = ds.attrs.map { a =>
+      a -> Sampling.cluster(cfg.clusterMethod, a, attrCells(a).feats, s, s"${ds.name}:${cfg.seed}")
+    }.toMap
+    val guidelines = ds.attrs.map { a =>
+      val sampleVals = clusters(a).sampledIdx.take(20).map(attrCells(a).values).toSeq
+      a -> SimLLM.makeGuideline(cfg.profile, meter, ds.name, a, model.dists(a), sampleVals)
+    }.toMap
+    val sampleLabels = Labeling.labelSamples(cfg.profile, meter, ds.name, attrCells, clusters,
+      rowCtx, ds.errTypes, corr, guidelines, useCtx = true, batchSize = cfg.batchSize)
+    val outcome = TrainData.construct(cfg.profile, meter, ds.name, model, attrCells, clusters,
+      sampleLabels, rowCtx, corr, useVerify = true)
+    val tids = attrCells(ds.attrs.head).tids
+    val kept = outcome.labels.filter(_.keep)
+      .map(c => (attrCells(c.attr).feats(java.util.Arrays.binarySearch(tids, c.tid)), c.label))
+    (kept ++ outcome.augmented.map(a => (a.features, true)), model.totalDim)
+  }
+
+  test("the fit on ZeroED's hospitalSmall training rows equals the sequential oracle's, bit for bit") {
+    val (rows, dim) = zeroedTrainingRows(TestData.hospitalSmall(spark))
+    val ex = Examples(rows.map { case (x, err) => (x, if (err) 1 else 0) })
+    assert(ex.size > 1000 && ex.y.contains(0) && ex.y.contains(1), s"${ex.size} rows")
+    val mlp = Mlp(dim, Detector.HiddenUnits)
+    val w = Detector.weights(mlp, ex, 42L)
+    val want = Detector.minimize(mlp.init(42L), sequentialLossGrad(mlp, ex, _))
+    assert(java.util.Arrays.equals(w, want))
   }
 
   test("trainPredict starts at most one Spark job before its result is used") {

@@ -1,7 +1,7 @@
 package repro.core
 
 import repro.{SparkSpec, TestData}
-import repro.data.{CellTable, Datasets}
+import repro.data.{AttrSpec, CellTable, DatasetSpec, Datasets, EDataset, Num}
 import repro.llm.{ModelProfiles, SimLLM}
 import repro.util.TokenMeter
 
@@ -99,5 +99,30 @@ class ZeroEDSpec extends SparkSpec {
     assert(one.metrics == six.metrics, s"${one.metrics} vs ${six.metrics}")
     assert((one.inputTokens, one.outputTokens) == (six.inputTokens, six.outputTokens))
     assert(one.nSampledCells == six.nSampledCells)
+  }
+  /** Two runs on `d` return, score every cell once and agree. */
+  private def assertWellFormed(d: EDataset): Unit = {
+    val (a, b) = (ZeroED.run(spark, d), ZeroED.run(spark, d))
+    val m = a.metrics
+    assert(m.tp + m.fp + m.fn + m.tn == d.tuples.length.toLong * d.attrs.size, m.toString)
+    assert(a == b, s"$a vs $b")
+  }
+
+  test("hospital at the generator's minimum of 50 tuples runs and scores every cell") {
+    val d = Datasets.load(spark, "hospital", 0.01)
+    try {
+      assert(d.tuples.length == 50)
+      assertWellFormed(d)
+    } finally d.unpersist()
+  }
+
+  test("a one-attribute table runs and scores every cell") {
+    val spec = DatasetSpec("one-attr", Vector(AttrSpec("score", Num(1, 100, 0))), 200, Seq.empty,
+      Map("MV" -> 2.0, "PV" -> 2.0, "T" -> 2.0, "O" -> 2.0))
+    val d = Datasets.generate(spark, spec)
+    try {
+      assert(d.tuples.length == 200 && d.errTypes.nonEmpty)
+      assertWellFormed(d)
+    } finally d.unpersist()
   }
 }
