@@ -28,11 +28,11 @@ object ActiveClean {
       val vc = stats.valueCounts
       val meanVf = vc.values.sum / math.max(1.0, vc.size.toDouble) / n
       CellTable.predictions(spark, ds.tuples)((_, row) =>
-        row.transform((a, v) => stats.valueCount(a, v) / n < meanVf))
+        row.collect { case (a, v) if stats.valueCount(a, v) / n < meanVf => a })
     } else {
       val (beta, b) = fitLogistic(labeled)
       CellTable.predictions(spark, ds.tuples)((_, row) =>
-        row.transform((a, v) => flags(beta, b, features(a, v))))
+        row.collect { case (a, v) if flags(beta, b, features(a, v)) => a })
     }
   }
 

@@ -51,6 +51,7 @@ object DBoost {
         }
         patRare || valRare || zOut
       }
-    CellTable.predictions(spark, ds.tuples)((_, row) => row.transform(flag))
+    CellTable.predictions(spark, ds.tuples)((_, row) =>
+      row.collect { case (a, v) if flag(a, v) => a })
   }
 }

@@ -23,6 +23,7 @@ object FMED {
     val pred = CellTable.predictions(spark, ds.tuples) { (tid, row) =>
       val ets = attrs.map(a => ds.errTypes.getOrElse((tid, a), ""))
       attrs.zip(SimLLM.fmedTuple(profile, meter, ds.name, tid, attrs, attrs.map(row), ets))
+        .collect { case (a, true) => a }
     }
     Result(pred, meter.inputTokens, meter.outputTokens)
   }

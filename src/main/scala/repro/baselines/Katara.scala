@@ -17,9 +17,9 @@ object Katara {
     val kb = ds.spec.kb
     val byRhs = kb.map(_.rhsAttr).distinct.map(a => a -> kb.filter(_.rhsAttr == a))
     CellTable.predictions(spark, ds.tuples) { (_, row) =>
-      byRhs.map { case (rhs, rels) =>
-        rhs -> rels.exists(rel => rel.mapping.get(row(rel.lhsAttr)).exists(_ != row(rhs)))
-      }
+      byRhs.filter { case (rhs, rels) =>
+        rels.exists(rel => rel.mapping.get(row(rel.lhsAttr)).exists(_ != row(rhs)))
+      }.map(_._1)
     }
   }
 }

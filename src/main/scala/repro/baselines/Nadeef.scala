@@ -37,8 +37,9 @@ object Nadeef {
     val patterns = ds.spec.nadeefPatterns.map { case (a, re) => a -> Pattern.compile(re) }
     CellTable.predictions(spark, ds.tuples) { (_, row) =>
       val inFdGroup = fdFlagged(viol, row)
-      row.transform { (a, v) =>
-        v.isEmpty || patterns.get(a).exists(re => !re.matcher(v).matches()) || inFdGroup(a)
+      row.collect {
+        case (a, v) if v.isEmpty || patterns.get(a).exists(re => !re.matcher(v).matches()) ||
+                       inFdGroup(a) => a
       }
     }
   }

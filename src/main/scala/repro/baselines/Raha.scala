@@ -18,7 +18,6 @@ object Raha {
   val ClustersPerAttr = 4
 
   def detect(spark: SparkSession, ds: EDataset): DataFrame = {
-    import spark.implicits._
     val fds = ds.spec.fds
     // Every tuple in tid order: the k-means input order.
     val tuples = ds.tuples
@@ -51,7 +50,7 @@ object Raha {
       isError.collect { case (a, true) => battery(t, a, row(a)).toSeq }
     }.filter(_.exists(_ > 0)).toSet
 
-    val preds = ds.attrs.flatMap { a =>
+    val flagged = ds.attrs.flatMap { a =>
       val rows = tuples.map { case (t, row) => (t, row(a)) }
       val feats = rows.map { case (t, v) => battery(t, a, v) }
       if (feats.isEmpty) Seq.empty
@@ -66,13 +65,12 @@ object Raha {
             val errs = is.count(i => truth(rows(i)._1)(a))
             c -> (errs * 2 > is.size)
           }
-        rows.indices.map { i =>
-          val inDirtyCluster = clusterLabels.getOrElse(res.assignments(i), false)
-          val sigMatch = errSignatures.contains(feats(i).toSeq)
-          (rows(i)._1, a, inDirtyCluster || sigMatch)
+        rows.indices.collect {
+          case i if clusterLabels.getOrElse(res.assignments(i), false) ||
+                    errSignatures.contains(feats(i).toSeq) => rows(i)._1 -> a
         }
       }
     }
-    preds.toDF("tid", "attr", "pred")
+    CellTable.flagged(spark, flagged)
   }
 }

@@ -40,16 +40,27 @@ private[core] final case class Mlp(dim: Int, hidden: Int) {
     }
   }
 
-  /** The predicted class of `x`: error when the error logit is strictly larger. */
-  def isError(w: Array[Double], x: Array[Double]): Boolean = {
-    val h = new Array[Double](hidden)
+  /** W1's columns: column k holds every hidden unit's weight on feature k. */
+  def columns(w: Array[Double]): Array[Array[Double]] =
+    Array.tabulate(dim, hidden)((k, j) => w(j * dim + k))
+
+  /** The output logits of `x`, given `w` and its W1 columns `w1t`. Each
+    * pre-activation is b1 plus its W1 · x terms in feature order, summed by
+    * `Mlp.addProducts` over W1's columns.
+    */
+  def logits(w: Array[Double], w1t: Array[Array[Double]], x: Array[Double]): Array[Double] = {
+    val h = java.util.Arrays.copyOfRange(w, oB1, oB1 + hidden)
+    Mlp.addProducts(x, w1t, h)
     var j = 0
-    while (j < hidden) { h(j) = w(oB1 + j); j += 1 }
-    Mlp.dots(x, 0, w, 0, 1, hidden, dim, h)
-    j = 0
     while (j < hidden) { h(j) = 1.0 / (1.0 + math.exp(-h(j))); j += 1 }
     val z = new Array[Double](2)
     output(w, h, z)
+    z
+  }
+
+  /** The predicted class of `x`: error when the error logit is strictly larger. */
+  def isError(w: Array[Double], w1t: Array[Array[Double]], x: Array[Double]): Boolean = {
+    val z = logits(w, w1t, x)
     z(1) > z(0)
   }
 
@@ -61,7 +72,7 @@ private[core] final case class Mlp(dim: Int, hidden: Int) {
     */
   def blockSums(w: Array[Double], ex: Examples, lo: Int, hi: Int,
                 block: Int): Seq[(Double, Array[Array[Double]])] = {
-    val w1t = Array.tabulate(dim, hidden)((k, j) => w(j * dim + k))  // W1's columns
+    val w1t = columns(w)
     (lo until hi by block).map(b => blockSum(w, w1t, ex, b, math.min(hi, b + block)))
   }
 
@@ -145,57 +156,6 @@ private[core] object Mlp {
       t += 1
     }
   }
-
-  /** out(i * nj + j) += Σ_l p(pOff + i * nl + l) * q(qOff + j * nl + l) for
-    * i < ni, j < nj, each sum taken in l order onto the value already in
-    * `out`. Computed in 4 × 4 tiles held in registers, which reuses every
-    * load four times; the result is the same as one dot product at a time.
-    */
-  def dots(p: Array[Double], pOff: Int, q: Array[Double], qOff: Int,
-           ni: Int, nj: Int, nl: Int, out: Array[Double]): Unit = {
-    def one(i: Int, j: Int): Unit = {
-      val pi = pOff + i * nl; val qj = qOff + j * nl
-      var s = out(i * nj + j)
-      var l = 0
-      while (l < nl) { s += p(pi + l) * q(qj + l); l += 1 }
-      out(i * nj + j) = s
-    }
-    var i = 0
-    while (i + 4 <= ni) {
-      val p0 = pOff + i * nl; val p1 = p0 + nl; val p2 = p1 + nl; val p3 = p2 + nl
-      val o0 = i * nj; val o1 = o0 + nj; val o2 = o1 + nj; val o3 = o2 + nj
-      var j = 0
-      while (j + 4 <= nj) {
-        val q0 = qOff + j * nl; val q1 = q0 + nl; val q2 = q1 + nl; val q3 = q2 + nl
-        var s00 = out(o0 + j); var s01 = out(o0 + j + 1); var s02 = out(o0 + j + 2); var s03 = out(o0 + j + 3)
-        var s10 = out(o1 + j); var s11 = out(o1 + j + 1); var s12 = out(o1 + j + 2); var s13 = out(o1 + j + 3)
-        var s20 = out(o2 + j); var s21 = out(o2 + j + 1); var s22 = out(o2 + j + 2); var s23 = out(o2 + j + 3)
-        var s30 = out(o3 + j); var s31 = out(o3 + j + 1); var s32 = out(o3 + j + 2); var s33 = out(o3 + j + 3)
-        var l = 0
-        while (l < nl) {
-          val a0 = p(p0 + l); val a1 = p(p1 + l); val a2 = p(p2 + l); val a3 = p(p3 + l)
-          val b0 = q(q0 + l); val b1 = q(q1 + l); val b2 = q(q2 + l); val b3 = q(q3 + l)
-          s00 += a0 * b0; s01 += a0 * b1; s02 += a0 * b2; s03 += a0 * b3
-          s10 += a1 * b0; s11 += a1 * b1; s12 += a1 * b2; s13 += a1 * b3
-          s20 += a2 * b0; s21 += a2 * b1; s22 += a2 * b2; s23 += a2 * b3
-          s30 += a3 * b0; s31 += a3 * b1; s32 += a3 * b2; s33 += a3 * b3
-          l += 1
-        }
-        out(o0 + j) = s00; out(o0 + j + 1) = s01; out(o0 + j + 2) = s02; out(o0 + j + 3) = s03
-        out(o1 + j) = s10; out(o1 + j + 1) = s11; out(o1 + j + 2) = s12; out(o1 + j + 3) = s13
-        out(o2 + j) = s20; out(o2 + j + 1) = s21; out(o2 + j + 2) = s22; out(o2 + j + 3) = s23
-        out(o3 + j) = s30; out(o3 + j + 1) = s31; out(o3 + j + 2) = s32; out(o3 + j + 3) = s33
-        j += 4
-      }
-      while (j < nj) { one(i, j); one(i + 1, j); one(i + 2, j); one(i + 3, j); j += 1 }
-      i += 4
-    }
-    while (i < ni) {
-      var j = 0
-      while (j < nj) { one(i, j); j += 1 }
-      i += 1
-    }
-  }
 }
 
 /** Training rows in canonical order (label, then features by
@@ -262,7 +222,8 @@ object Detector {
     if (classes.size < 2) { val only = classes.contains(true); return _ => only }
     val mlp = Mlp(dim, HiddenUnits)
     val w = weights(mlp, Examples(rows.map { case (x, err) => (x, if (err) 1 else 0) }), seed)
-    x => mlp.isError(w, x)
+    val w1t = mlp.columns(w)
+    x => mlp.isError(w, w1t, x)
   }
 
   /** Train on (features, label) and predict every cell of `cellsF`

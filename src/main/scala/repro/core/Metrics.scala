@@ -1,7 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, Row}
-import org.apache.spark.sql.functions.col
+import org.apache.spark.sql.DataFrame
 
 /** Cell-level detection quality (Section IV-A): precision, recall, F1 over
   * the ground-truth error mask.
@@ -19,15 +18,25 @@ final case class PRF(tp: Long, fp: Long, fn: Long, tn: Long) {
 object Metrics {
 
   /** Evaluate predictions (tid, attr, pred) against the mask
-    * (tid, attr, is_error): collects the flagged cells and the mask, then
-    * `count`s. Only the mask's cells are scored; a cell without a prediction,
-    * or with a null `pred`, counts as clean.
+    * (tid, attr, is_error). Each table is collected through its own plan, its
+    * columns found by name, and the flagged cells are picked out on the
+    * driver, then `count`ed. Only the mask's cells are scored; a cell without
+    * a prediction, or with a null `pred`, counts as clean. So a prediction
+    * table may hold only its flagged cells, as the baselines' tables do.
     */
   def evaluate(pred: DataFrame, mask: DataFrame): PRF = {
-    val cell = (r: Row) => (r.getLong(0), r.getString(1))
-    val flagged = pred.where(col("pred")).select("tid", "attr").collect().map(cell).toSet
-    val cells = mask.select("tid", "attr", "is_error").collect().map(r => cell(r) -> r.getBoolean(2))
+    val flagged = marked(pred, "pred").collect { case (c, true) => c }.toSet
+    val cells = marked(mask, "is_error")
     count(cells.map { case (c, _) => c -> flagged(c) }, cells.collect { case (c, true) => c }.toSet)
+  }
+
+  /** Each row of `df` as its cell (tid, attr) and whether its column `flag`
+    * is true (a null is not).
+    */
+  private def marked(df: DataFrame, flag: String): Array[((Long, String), Boolean)] = {
+    val schema = df.schema
+    val (t, a, f) = (schema.fieldIndex("tid"), schema.fieldIndex("attr"), schema.fieldIndex(flag))
+    df.collect().map(r => (r.getLong(t), r.getString(a)) -> (!r.isNullAt(f) && r.getBoolean(f)))
   }
 
   /** Driver-side counts of one prediction per cell; an unpredicted error is missed. */

@@ -1,11 +1,17 @@
 package repro.data
 
 import org.apache.spark.sql.{DataFrame, Row, SparkSession}
+import org.apache.spark.sql.types.{BooleanType, LongType, StringType, StructField, StructType}
 import repro.util.Rng
 
 /** Cell-level tables, keyed like the mask by (tid, attr): the dirty tuples on
-  * the driver, the baselines' prediction table and the mask labels of their
+  * the driver, the baselines' prediction tables and the mask labels of their
   * hand-labeled tuples.
+  *
+  * A prediction table holds only the cells a method flags, as
+  * (tid, attr, pred = true) rows; `Metrics.evaluate` scores every other cell
+  * of the mask as clean. It is a local DataFrame built on the driver, so its
+  * size, not the dataset's, sets what Catalyst walks when it plans a read.
   */
 object CellTable {
 
@@ -18,17 +24,28 @@ object CellTable {
   private def values(r: Row, attrs: Seq[String]): Map[String, String] =
     attrs.map(a => a -> r.getAs[String](a)).toMap
 
-  /** The (tid, attr, pred) rows `judge` gives each tuple from its tid and
-    * attr→value map, judged on the driver, as a local DataFrame: building it,
-    * and collecting it again, starts no Spark job.
+  private val PredSchema = StructType(Seq(
+    StructField("tid", LongType, nullable = false),
+    StructField("attr", StringType),
+    StructField("pred", BooleanType, nullable = false)))
+
+  /** The prediction table of `cells`: one (tid, attr, pred = true) row per
+    * flagged cell, in the order given, as a local DataFrame. Building it, and
+    * collecting it again, starts no Spark job.
+    */
+  def flagged(spark: SparkSession, cells: IterableOnce[(Long, String)]): DataFrame = {
+    val rows = new java.util.ArrayList[Row]()
+    cells.iterator.foreach { case (tid, attr) => rows.add(Row(tid, attr, true)) }
+    spark.createDataFrame(rows, PredSchema)
+  }
+
+  /** The prediction table of the attributes `judge` flags in each tuple,
+    * given its tid and attr→value map: each tuple is judged on the driver, in
+    * tid order, and its flagged cells go to `flagged`.
     */
   def predictions(spark: SparkSession, tuples: Array[(Long, Map[String, String])])(
-      judge: (Long, Map[String, String]) => Iterable[(String, Boolean)]): DataFrame = {
-    import spark.implicits._
-    tuples.toSeq.flatMap { case (tid, row) =>
-      judge(tid, row).map { case (a, p) => (tid, a, p) }
-    }.toDF("tid", "attr", "pred")
-  }
+      judge: (Long, Map[String, String]) => Iterable[String]): DataFrame =
+    flagged(spark, tuples.iterator.flatMap { case (tid, row) => judge(tid, row).map(tid -> _) })
 
   /** The tuples a baseline has labeled by hand: `count` tids drawn from the
     * dataset's tuples under `key` (duplicates drawn once), each with its

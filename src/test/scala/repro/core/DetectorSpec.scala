@@ -131,7 +131,7 @@ class DetectorSpec extends SparkSpec {
   }
 
   test("analytic gradient matches central finite differences") {
-    // (3, 4) is the small net; (6, 5) also covers the partial tiles of Mlp.dots.
+    // (3, 4) is the small net; (6, 5) also covers the partial passes of Mlp.addProducts.
     for ((dim, hidden) <- Seq((3, 4), (6, 5))) {
       val mlp = Mlp(dim, hidden)
       val ex = Examples(
@@ -152,13 +152,65 @@ class DetectorSpec extends SparkSpec {
     }
   }
 
+  /** out(i * nj + j) += Σ_l p(pOff + i * nl + l) * q(qOff + j * nl + l) for
+    * i < ni, j < nj, each sum taken in l order onto the value already in
+    * `out`. Computed in 4 × 4 tiles held in registers, which reuses every
+    * load four times; the result is the same as one dot product at a time.
+    * The kernel of `lossGradSum`, the oracle objective.
+    */
+  private def dots(p: Array[Double], pOff: Int, q: Array[Double], qOff: Int,
+                   ni: Int, nj: Int, nl: Int, out: Array[Double]): Unit = {
+    def one(i: Int, j: Int): Unit = {
+      val pi = pOff + i * nl; val qj = qOff + j * nl
+      var s = out(i * nj + j)
+      var l = 0
+      while (l < nl) { s += p(pi + l) * q(qj + l); l += 1 }
+      out(i * nj + j) = s
+    }
+    var i = 0
+    while (i + 4 <= ni) {
+      val p0 = pOff + i * nl; val p1 = p0 + nl; val p2 = p1 + nl; val p3 = p2 + nl
+      val o0 = i * nj; val o1 = o0 + nj; val o2 = o1 + nj; val o3 = o2 + nj
+      var j = 0
+      while (j + 4 <= nj) {
+        val q0 = qOff + j * nl; val q1 = q0 + nl; val q2 = q1 + nl; val q3 = q2 + nl
+        var s00 = out(o0 + j); var s01 = out(o0 + j + 1); var s02 = out(o0 + j + 2); var s03 = out(o0 + j + 3)
+        var s10 = out(o1 + j); var s11 = out(o1 + j + 1); var s12 = out(o1 + j + 2); var s13 = out(o1 + j + 3)
+        var s20 = out(o2 + j); var s21 = out(o2 + j + 1); var s22 = out(o2 + j + 2); var s23 = out(o2 + j + 3)
+        var s30 = out(o3 + j); var s31 = out(o3 + j + 1); var s32 = out(o3 + j + 2); var s33 = out(o3 + j + 3)
+        var l = 0
+        while (l < nl) {
+          val a0 = p(p0 + l); val a1 = p(p1 + l); val a2 = p(p2 + l); val a3 = p(p3 + l)
+          val b0 = q(q0 + l); val b1 = q(q1 + l); val b2 = q(q2 + l); val b3 = q(q3 + l)
+          s00 += a0 * b0; s01 += a0 * b1; s02 += a0 * b2; s03 += a0 * b3
+          s10 += a1 * b0; s11 += a1 * b1; s12 += a1 * b2; s13 += a1 * b3
+          s20 += a2 * b0; s21 += a2 * b1; s22 += a2 * b2; s23 += a2 * b3
+          s30 += a3 * b0; s31 += a3 * b1; s32 += a3 * b2; s33 += a3 * b3
+          l += 1
+        }
+        out(o0 + j) = s00; out(o0 + j + 1) = s01; out(o0 + j + 2) = s02; out(o0 + j + 3) = s03
+        out(o1 + j) = s10; out(o1 + j + 1) = s11; out(o1 + j + 2) = s12; out(o1 + j + 3) = s13
+        out(o2 + j) = s20; out(o2 + j + 1) = s21; out(o2 + j + 2) = s22; out(o2 + j + 3) = s23
+        out(o3 + j) = s30; out(o3 + j + 1) = s31; out(o3 + j + 2) = s32; out(o3 + j + 3) = s33
+        j += 4
+      }
+      while (j < nj) { one(i, j); one(i + 1, j); one(i + 2, j); one(i + 3, j); j += 1 }
+      i += 4
+    }
+    while (i < ni) {
+      var j = 0
+      while (j < nj) { one(i, j); j += 1 }
+      i += 1
+    }
+  }
+
   test("tiled dot products equal one dot product at a time, bit for bit") {
     val (ni, nj, nl) = (6, 7, 5)
     val p = Array.tabulate(ni * nl)(i => Rng.unif("dots-p", i) - 0.5)
     val q = Array.tabulate(2 + nj * nl)(i => Rng.unif("dots-q", i) - 0.5)
     val init = Array.tabulate(ni * nj)(i => Rng.unif("dots-o", i))
     val out = init.clone
-    Mlp.dots(p, 0, q, 2, ni, nj, nl, out)
+    dots(p, 0, q, 2, ni, nj, nl, out)
     for (i <- 0 until ni; j <- 0 until nj) {
       var s = init(i * nj + j)
       for (l <- 0 until nl) s += p(i * nl + l) * q(2 + j * nl + l)
@@ -189,7 +241,7 @@ class DetectorSpec extends SparkSpec {
     // Hidden pre-activations of every row: b1 + W1 · x.
     val a = new Array[Double](nb * hidden)
     for (r <- 0 until nb) System.arraycopy(w, oB1, a, r * hidden, hidden)
-    Mlp.dots(xb, 0, w, 0, nb, hidden, dim, a)
+    dots(xb, 0, w, 0, nb, hidden, dim, a)
 
     val h = new Array[Double](hidden)
     val z = new Array[Double](2)
@@ -216,7 +268,7 @@ class DetectorSpec extends SparkSpec {
       }
     }
     // W1's gradient: the sum over the block's rows of dh · x.
-    Mlp.dots(dht, 0, xt, 0, hidden, dim, nb, g)
+    dots(dht, 0, xt, 0, hidden, dim, nb, g)
     loss
   }
 
@@ -232,6 +284,55 @@ class DetectorSpec extends SparkSpec {
       for (i <- grad.indices) grad(i) += g(i)
     }
     (loss / ex.totalWeight, grad.map(_ / ex.totalWeight))
+  }
+
+  /** The output logits of `x` one weight at a time: b1 + W1 · x in feature
+    * order, the sigmoid, then W2 · h + b2.
+    */
+  private def scalarLogits(mlp: Mlp, w: Array[Double], x: Array[Double]): Seq[Double] = {
+    val (dim, hidden) = (mlp.dim, mlp.hidden)
+    val oB1 = hidden * dim; val oW2 = oB1 + hidden; val oB2 = oW2 + 2 * hidden
+    val h = Array.tabulate(hidden) { j =>
+      var s = w(oB1 + j)
+      for (k <- 0 until dim) s += x(k) * w(j * dim + k)
+      1.0 / (1.0 + math.exp(-s))
+    }
+    Seq.tabulate(2) { c =>
+      var s = w(oB2 + c)
+      for (j <- 0 until hidden) s += w(oW2 + c * hidden + j) * h(j)
+      s
+    }
+  }
+
+  test("the predictor equals the scalar forward pass, bit for bit") {
+    // (6, 5) covers the partial pass of Mlp.addProducts, (87, 32) ZeroED's shape.
+    for ((dim, hidden) <- Seq((87, 32), (6, 5))) {
+      val mlp = Mlp(dim, hidden)
+      val w = mlp.init(dim.toLong)
+      val w1t = mlp.columns(w)
+      for (i <- 0 until 50) {
+        val x = Array.tabulate(dim)(k => Rng.unif("fwd", dim, i, k) * 4 - 2)
+        val want = scalarLogits(mlp, w, x)
+        assert(mlp.logits(w, w1t, x).toSeq == want, s"($dim, $hidden) row $i")
+        assert(mlp.isError(w, w1t, x) == (want(1) > want(0)), s"($dim, $hidden) row $i")
+      }
+    }
+    // Detector.fit's predictor, at the weights it fits.
+    val dim = 87
+    val rows = Seq.tabulate(300) { i =>
+      val err = Rng.bool(0.3, "fwd-y", i)
+      val shift = if (err) 0.5 else 0.0
+      (Array.tabulate(dim)(k => Rng.unif("fwd-x", i, k) + (if (k % 3 == 0) shift else 0.0)), err)
+    }
+    val predict = Detector.fit(rows, dim, 7L)
+    val mlp = Mlp(dim, Detector.HiddenUnits)
+    val w = Detector.weights(mlp, Examples(rows.map { case (x, e) => (x, if (e) 1 else 0) }), 7L)
+    val predictions = rows.map { case (x, _) =>
+      val z = scalarLogits(mlp, w, x)
+      (predict(x), z(1) > z(0))
+    }
+    assert(predictions.forall { case (got, want) => got == want })
+    assert(predictions.map(_._2).distinct.size == 2, "the fitted predictor flags one class only")
   }
 
   test("the objective equals the sequential block-by-block oracle, bit for bit") {

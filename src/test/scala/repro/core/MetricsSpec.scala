@@ -60,6 +60,11 @@ class MetricsSpec extends SparkSpec {
     val nulls = Seq((0L, "a", Option.empty[Boolean]), (1L, "a", Option.empty[Boolean]))
       .toDF("tid", "attr", "pred")
     assert(Metrics.evaluate(nulls, mask) == PRF(tp = 0, fp = 0, fn = 1, tn = 1))
+    // Columns are read by name: reordered, with an extra column.
+    val reordered = Seq((true, "x", "a", 0L), (true, "y", "a", 2L), (false, "z", "a", 1L))
+      .toDF("pred", "note", "attr", "tid")
+    val maskReordered = mask.select("err_type", "is_error", "attr", "tid")
+    assert(Metrics.evaluate(reordered, maskReordered) == PRF(tp = 1, fp = 0, fn = 0, tn = 1))
   }
 
   test("evaluate writes no shuffle data") {
