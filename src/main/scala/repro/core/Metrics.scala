@@ -1,6 +1,7 @@
 package repro.core
 
 import org.apache.spark.sql.DataFrame
+import repro.data.Datasets
 
 /** Cell-level detection quality (Section IV-A): precision, recall, F1 over
   * the ground-truth error mask.
@@ -18,16 +19,29 @@ final case class PRF(tp: Long, fp: Long, fn: Long, tn: Long) {
 object Metrics {
 
   /** Evaluate predictions (tid, attr, pred) against the mask
-    * (tid, attr, is_error). Each table is collected through its own plan, its
-    * columns found by name, and the flagged cells are picked out on the
-    * driver, then `count`ed. Only the mask's cells are scored; a cell without
-    * a prediction, or with a null `pred`, counts as clean. So a prediction
-    * table may hold only its flagged cells, as the baselines' tables do.
+    * (tid, attr, is_error). The prediction table is collected through its own
+    * plan, its columns found by name, and its flagged cells are picked out on
+    * the driver, then `count`ed against the mask's cells. Only the mask's
+    * cells are scored; a cell without a prediction, or with a null `pred`,
+    * counts as clean. So a prediction table may hold only its flagged cells,
+    * as the baselines' tables do.
+    *
+    * A mask that a load built (`ds.mask` itself) is not read: its cells and
+    * errors are the ones `Datasets` recorded for that mask object at load, so
+    * scoring starts no Spark job when `pred` is local. The record follows the
+    * mask, not the dataset: `ds.copy(errTypes = …)` that keeps `ds.mask` is
+    * still scored by what the mask holds. Any other mask (derived with
+    * `where` or `select`, or built by hand) is collected.
     */
   def evaluate(pred: DataFrame, mask: DataFrame): PRF = {
     val flagged = marked(pred, "pred").collect { case (c, true) => c }.toSet
-    val cells = marked(mask, "is_error")
-    count(cells.map { case (c, _) => c -> flagged(c) }, cells.collect { case (c, true) => c }.toSet)
+    val (cells, errors) = Datasets.truth(mask) match {
+      case Some(t) => (t.cells.toSeq, t.errors)
+      case None =>
+        val rows = marked(mask, "is_error")
+        (rows.toSeq.map(_._1), rows.collect { case (c, true) => c }.toSet)
+    }
+    count(cells.map(c => c -> flagged(c)), errors)
   }
 
   /** Each row of `df` as its cell (tid, attr) and whether its column `flag`

@@ -10,8 +10,9 @@ import repro.util.Rng
   *
   * A prediction table holds only the cells a method flags, as
   * (tid, attr, pred = true) rows; `Metrics.evaluate` scores every other cell
-  * of the mask as clean. It is a local DataFrame built on the driver, so its
-  * size, not the dataset's, sets what Catalyst walks when it plans a read.
+  * of the mask as clean, and scores a loaded mask without reading it. It is
+  * a local DataFrame built on the driver, so its size, not the dataset's,
+  * sets what Catalyst walks when it plans a read.
   */
 object CellTable {
 

@@ -1,5 +1,6 @@
 package repro.data
 
+import com.google.common.collect.MapMaker
 import org.apache.spark.sql.{DataFrame, Row, SparkSession}
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types._
@@ -31,7 +32,28 @@ final case class EDataset(spec: DatasetSpec, dirty: DataFrame,
   def unpersist(): Unit = Seq(dirty, clean, mask, wide).foreach(_.unpersist())
 }
 
+/** What a mask built at load holds, read from the same collect as `tuples`
+  * and `errTypes`: one cell per tid (of `tuples`, in tid order) and attr, an
+  * error exactly when it is in `errors`. It refers to the dataset's own
+  * arrays and sets; it copies no cell.
+  */
+final case class MaskTruth(tuples: Array[(Long, Map[String, String])],
+                           attrs: IndexedSeq[String], errors: Set[(Long, String)]) {
+  def cells: Iterator[(Long, String)] =
+    tuples.iterator.flatMap { case (tid, _) => attrs.iterator.map(tid -> _) }
+}
+
 object Datasets {
+
+  /** The truth of each mask `fromWide` built, keyed by the mask object itself
+    * (by reference), held only while the mask is reachable.
+    */
+  private val truths = new MapMaker().weakKeys().makeMap[DataFrame, MaskTruth]()
+
+  /** The truth `mask` was built against, if a load built this very object
+    * (a mask derived from it with `where`, `select` and so on has none).
+    */
+  private[repro] def truth(mask: DataFrame): Option[MaskTruth] = Option(truths.get(mask))
 
   val byName: Map[String, DatasetSpec] = CleanGen.all.map(s => s.name -> s).toMap
 
@@ -66,7 +88,8 @@ object Datasets {
   }
 
   /** The dataset whose tables are views of `wide`, with its driver-side
-    * forms read in one collect of `wide`'s tid, dirty and error-type columns.
+    * forms read in one collect of `wide`'s tid, dirty and error-type columns,
+    * and its mask recorded against that truth.
     */
   private[repro] def fromWide(spec: DatasetSpec, wide: DataFrame): EDataset = {
     val attrs = spec.attrNames
@@ -87,6 +110,7 @@ object Datasets {
       attrs.indices.map(j => (r.getLong(0), attrs(j)) -> r.getString(1 + attrs.size + j))
         .filter(_._2.nonEmpty)
     }.toMap
+    truths.put(mask, MaskTruth(tuples, attrs, errTypes.keySet))
     EDataset(spec, dirty, clean, mask, wide, tuples, errTypes)
   }
 }

@@ -22,14 +22,10 @@ object Runner {
 
   def dataset(spark: SparkSession, name: String, sc: Double = scale): EDataset =
     synchronized {
-      dsCache.getOrElseUpdate((name, sc), {
-        // Methods read the tuples and ground truth held since load; only
-        // `Metrics.evaluate` reads the mask.
-        val ds = Datasets.load(spark, name, sc)
-        ds.mask.cache()
-        ds.mask.count()
-        ds
-      })
+      // Nothing reads the dataset's tables through Spark after load: the
+      // methods and Table II read `tuples` and `errTypes`, and
+      // `Metrics.evaluate` scores `ds.mask` from the truth recorded at load.
+      dsCache.getOrElseUpdate((name, sc), Datasets.load(spark, name, sc))
     }
 
   def zeroed(spark: SparkSession, name: String,

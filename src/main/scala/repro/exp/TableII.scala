@@ -1,12 +1,11 @@
 package repro.exp
 
 import org.apache.spark.sql.SparkSession
-import org.apache.spark.sql.functions._
 import repro.data.Datasets
 
 /** Table II: dataset statistics — tuple/attribute counts, overall error
-  * rate, and per-type error rates, computed from the generated datasets'
-  * injection masks.
+  * rate, and per-type error rates, computed from the ground truth each
+  * dataset holds on the driver since load (`ds.errTypes`).
   */
 object TableII {
 
@@ -19,11 +18,9 @@ object TableII {
                     "movies", "tax").filter(names.contains)
     order.map { name =>
       val ds = Runner.dataset(spark, name, sc)
-      val n = ds.dirty.count()
+      val n = ds.tuples.length.toLong
       val cells = (n * ds.attrs.size).toDouble
-      val byType = ds.mask.where(col("is_error"))
-        .groupBy("err_type").count().collect()
-        .map(r => r.getString(0) -> r.getLong(1)).toMap
+      val byType = ds.errTypes.values.groupMapReduce(identity)(_ => 1L)(_ + _)
       def pct(t: String) = 100.0 * byType.getOrElse(t, 0L) / cells
       Row(name, n, ds.attrs.size, 100.0 * byType.values.sum / cells,
           pct("MV"), pct("PV"), pct("T"), pct("O"), pct("RV"))

@@ -293,12 +293,24 @@ class BaselinesSpec extends SparkSpec {
     }
   }
 
-  test("Metrics.evaluate of a driver-built prediction starts one Spark job") {
-    // The flagged cells are collected from the local DataFrame; the one job
-    // reads the mask.
+  test("Metrics.evaluate of a driver-built prediction starts no Spark job") {
+    // The flagged cells are collected from the local DataFrame, and the
+    // loaded mask is scored from the truth recorded for it at load.
     val pred = DBoost.detect(spark, flights)
     val jobs = jobsStarted(Metrics.evaluate(pred, flights.mask))
-    assert(jobs == 1, s"$jobs Spark jobs")
+    assert(jobs == 0, s"$jobs Spark jobs")
+  }
+
+  test("oracle: a loaded mask scores each baseline as its collected rows do") {
+    for (ds <- Seq(hospital, flights); (name, detect) <- detectors) {
+      // `select("*")` is a new mask object with the same rows and no record,
+      // so `evaluate` collects it.
+      val unrecorded = ds.mask.select("*")
+      assert(Datasets.truth(ds.mask).isDefined && Datasets.truth(unrecorded).isEmpty)
+      val pred = detect(ds)
+      assert(Metrics.evaluate(pred, ds.mask) == Metrics.evaluate(pred, unrecorded),
+             s"$name on ${ds.name}")
+    }
   }
 
   // ------------------------------------------------------------ partitioning

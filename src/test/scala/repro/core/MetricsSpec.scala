@@ -2,7 +2,9 @@ package repro.core
 
 import java.util.concurrent.atomic.AtomicLong
 import org.apache.spark.scheduler.{SparkListener, SparkListenerTaskEnd}
-import repro.{Oracle, SparkSpec}
+import org.apache.spark.sql.functions.col
+import repro.{Oracle, SparkSpec, TestData}
+import repro.data.{CellTable, Datasets}
 
 class MetricsSpec extends SparkSpec {
 
@@ -108,5 +110,39 @@ class MetricsSpec extends SparkSpec {
         |  sum(CASE WHEN m.is_error='false' AND p.pred='false' THEN 1 ELSE 0 END) AS tn
         |FROM m JOIN p ON m.tid = p.tid AND m.attr = p.attr""".stripMargin,
       "m" -> mask, "p" -> pred)
+  }
+
+  /** A prediction on hospital at 0.2 that hits, misses and wrongly flags:
+    * every other error cell, and every cell of each fifth tuple.
+    */
+  private lazy val hospital = TestData.hospitalSmall(spark)
+  private lazy val hospitalFlags: Set[(Long, String)] = {
+    val errors = hospital.errTypes.keys.toSeq.sorted.zipWithIndex
+      .collect { case (c, i) if i % 2 == 0 => c }
+    val fifths = hospital.tuples.map(_._1).filter(_ % 5 == 0)
+      .flatMap(t => hospital.attrs.map(t -> _))
+    (errors ++ fifths).toSet
+  }
+  private lazy val hospitalPred = CellTable.flagged(spark, hospitalFlags.toSeq.sorted)
+
+  test("a mask derived from a loaded mask is scored from its own rows") {
+    val base = Metrics.evaluate(hospitalPred, hospital.mask)
+    assert(base.tp > 0 && base.fp > 0 && base.fn > 0 && base.tn > 0, base.toString)
+    val a = hospital.attrs.head
+    val oneAttr = hospital.mask.where(col("attr") === a)
+    val repartitioned = hospital.mask.repartition(3)
+    for (m <- Seq(oneAttr, repartitioned)) assert(Datasets.truth(m).isEmpty)
+    val cells = hospital.tuples.map(t => (t._1, a))
+    val expected = Metrics.count(cells.map(c => c -> hospitalFlags(c)),
+                                 hospital.errTypes.keySet.filter(_._2 == a))
+    assert(Metrics.evaluate(hospitalPred, oneAttr) == expected)
+    assert(expected.tp + expected.fp + expected.fn + expected.tn == hospital.tuples.length)
+    assert(Metrics.evaluate(hospitalPred, repartitioned) == base)
+  }
+
+  test("a loaded mask is scored by what it holds, not by its dataset's fields") {
+    val noTruth = hospital.copy(errTypes = Map.empty)
+    assert(Metrics.evaluate(hospitalPred, noTruth.mask) ==
+           Metrics.evaluate(hospitalPred, hospital.mask))
   }
 }

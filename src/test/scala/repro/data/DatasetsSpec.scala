@@ -1,5 +1,6 @@
 package repro.data
 
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec, TestData}
 import repro.llm.SimLLM
@@ -80,6 +81,20 @@ class DatasetsSpec extends SparkSpec {
       assert(d.tuples.toSeq == ds.tuples.toSeq)
       assert(d.errTypes == ds.errTypes)
     }
+  }
+
+  test("the truth recorded for a loaded mask is exactly the mask's cells") {
+    val t = Datasets.truth(ds.mask).get
+    assert((t.tuples eq ds.tuples) && t.attrs == ds.attrs)
+    assert(t.tuples.length * t.attrs.size == ds.mask.count())
+    def cells(m: DataFrame) =
+      m.select("tid", "attr").collect().map(r => (r.getLong(0), r.getString(1))).toSet
+    assert(t.cells.toSet == cells(ds.mask))
+    assert(t.errors == cells(ds.mask.where(col("is_error"))))
+    // Each load records its own mask; a derived mask has no record.
+    val again = Datasets.fromWide(ds.spec, ds.wide)
+    assert(Datasets.truth(again.mask).exists(_.tuples eq again.tuples))
+    assert(Datasets.truth(ds.mask.select("*")).isEmpty)
   }
 
   test("oracle: per-type error counts match DuckDB over the mask") {
