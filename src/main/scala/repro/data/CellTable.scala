@@ -11,8 +11,8 @@ import repro.util.Rng
   * A prediction table holds only the cells a method flags, as
   * (tid, attr, pred = true) rows; `Metrics.evaluate` scores every other cell
   * of the mask as clean, and scores a loaded mask without reading it. It is
-  * a local DataFrame built on the driver, so its size, not the dataset's,
-  * sets what Catalyst walks when it plans a read.
+  * a local DataFrame built on the driver, whose plan is the rows themselves:
+  * `Metrics.evaluate` reads them from that plan and runs no query.
   */
 object CellTable {
 
@@ -31,8 +31,9 @@ object CellTable {
     StructField("pred", BooleanType, nullable = false)))
 
   /** The prediction table of `cells`: one (tid, attr, pred = true) row per
-    * flagged cell, in the order given, as a local DataFrame. Building it, and
-    * collecting it again, starts no Spark job.
+    * flagged cell, in the order given, as a local DataFrame. Building it
+    * starts no Spark job, and scoring it with `Metrics.evaluate` runs no
+    * query.
     */
   def flagged(spark: SparkSession, cells: IterableOnce[(Long, String)]): DataFrame = {
     val rows = new java.util.ArrayList[Row]()

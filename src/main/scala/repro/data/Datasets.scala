@@ -33,14 +33,17 @@ final case class EDataset(spec: DatasetSpec, dirty: DataFrame,
 }
 
 /** What a mask built at load holds, read from the same collect as `tuples`
-  * and `errTypes`: one cell per tid (of `tuples`, in tid order) and attr, an
-  * error exactly when it is in `errors`. It refers to the dataset's own
-  * arrays and sets; it copies no cell.
+  * and `errTypes`: one cell per tid (of `tids`, sorted) and attr, an error
+  * exactly when it is in `errors` (the keys of `errTypes`, not a copy).
   */
-final case class MaskTruth(tuples: Array[(Long, Map[String, String])],
-                           attrs: IndexedSeq[String], errors: Set[(Long, String)]) {
-  def cells: Iterator[(Long, String)] =
-    tuples.iterator.flatMap { case (tid, _) => attrs.iterator.map(tid -> _) }
+final case class MaskTruth(tids: Array[Long], attrs: IndexedSeq[String],
+                           errors: Set[(Long, String)]) {
+  /** The number of cells: |tids| × |attrs|. */
+  def cellCount: Long = tids.length.toLong * attrs.size
+
+  /** Whether the mask holds the cell `(tid, attr)`. */
+  def contains(cell: (Long, String)): Boolean =
+    attrs.contains(cell._2) && java.util.Arrays.binarySearch(tids, cell._1) >= 0
 }
 
 object Datasets {
@@ -110,7 +113,7 @@ object Datasets {
       attrs.indices.map(j => (r.getLong(0), attrs(j)) -> r.getString(1 + attrs.size + j))
         .filter(_._2.nonEmpty)
     }.toMap
-    truths.put(mask, MaskTruth(tuples, attrs, errTypes.keySet))
+    truths.put(mask, MaskTruth(tuples.map(_._1), attrs, errTypes.keySet))
     EDataset(spec, dirty, clean, mask, wide, tuples, errTypes)
   }
 }

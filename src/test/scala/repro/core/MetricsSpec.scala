@@ -1,8 +1,13 @@
 package repro.core
 
-import java.util.concurrent.atomic.AtomicLong
-import org.apache.spark.scheduler.{SparkListener, SparkListenerTaskEnd}
+import java.util.concurrent.atomic.{AtomicInteger, AtomicLong}
+import org.apache.spark.scheduler.{SparkListener, SparkListenerEvent, SparkListenerJobStart,
+                                   SparkListenerTaskEnd}
+import org.apache.spark.sql.{DataFrame, Row}
+import org.apache.spark.sql.catalyst.plans.logical.LocalRelation
+import org.apache.spark.sql.execution.ui.SparkListenerSQLExecutionStart
 import org.apache.spark.sql.functions.col
+import org.apache.spark.sql.types.{BooleanType, LongType, StringType, StructField, StructType}
 import repro.{Oracle, SparkSpec, TestData}
 import repro.data.{CellTable, Datasets}
 
@@ -144,5 +149,83 @@ class MetricsSpec extends SparkSpec {
     val noTruth = hospital.copy(errTypes = Map.empty)
     assert(Metrics.evaluate(hospitalPred, noTruth.mask) ==
            Metrics.evaluate(hospitalPred, hospital.mask))
+  }
+
+  /** The cells `pred` flags as `collect()` returns them: the oracle of the
+    * local read.
+    */
+  private def collected(pred: DataFrame): Seq[(Long, String)] =
+    pred.collect().toSeq.collect { case r if r.getAs[Any]("pred") == true =>
+      (r.getAs[Long]("tid"), r.getAs[String]("attr"))
+    }
+
+  private def isLocal(df: DataFrame) = df.queryExecution.analyzed.isInstanceOf[LocalRelation]
+
+  test("a local prediction table is read from its plan as collect() returns it") {
+    val cells = Seq((3L, "b"), (1L, "a"), (3L, "b"), (2L, "c"))  // one duplicate
+    for (cs <- Seq(Seq.empty, cells, hospitalFlags.toSeq.sorted)) {
+      val pred = CellTable.flagged(spark, cs)
+      assert(isLocal(pred))
+      assert(Metrics.flaggedCells(pred) == collected(pred))
+      assert(Metrics.flaggedCells(pred) == cs)
+    }
+    // Driver rows with a null pred, a null attr, a false pred and an extra
+    // column, in another column order.
+    val schema = StructType(Seq(
+      StructField("pred", BooleanType), StructField("note", StringType),
+      StructField("attr", StringType), StructField("tid", LongType, nullable = false)))
+    val rows = Seq(Row(true, "x", "a", 0L), Row(null, "y", "a", 1L), Row(true, "z", null, 2L),
+                   Row(false, null, "b", 3L), Row(true, "x", "a", 0L))
+    val driverRows = spark.createDataFrame(java.util.Arrays.asList(rows: _*), schema)
+    assert(isLocal(driverRows))
+    assert(Metrics.flaggedCells(driverRows) == collected(driverRows))
+    assert(Metrics.flaggedCells(driverRows) == Seq((0L, "a"), (2L, null), (0L, "a")))
+    // A `toDF` table is a projection of its rows, so it is collected.
+    import spark.implicits._
+    val projected = Seq((0L, "a", true), (1L, "a", false), (2L, null, true))
+      .toDF("tid", "attr", "pred")
+    assert(!isLocal(projected))
+    assert(Metrics.flaggedCells(projected) == Seq((0L, "a"), (2L, null)))
+  }
+
+  test("a loaded mask is counted from the flagged cells alone as over every cell") {
+    val truth = Datasets.truth(hospital.mask).get
+    val (tids, attrs) = (hospital.tuples.map(_._1), hospital.attrs)
+    // Off the table: an unknown tid, an unknown attribute and a null one;
+    // and each tenth flagged cell twice.
+    val flags = hospitalFlags.toSeq.sorted
+    val flagged = flags ++ flags.indices.collect { case i if i % 10 == 0 => flags(i) } ++
+      Seq((tids.last + 1, attrs.head), (tids.head, "no-such-attr"), (tids.head, null))
+    val set = flagged.toSet
+    val everyCell = tids.toSeq.flatMap(t => attrs.map(a => (t, a) -> set((t, a))))
+    val expected = Metrics.count(everyCell, hospital.errTypes.keySet)
+    assert(expected.tp > 0 && expected.fp > 0 && expected.fn > 0 && expected.tn > 0)
+    assert(Metrics.countFlagged(flagged, truth) == expected)
+    assert(Metrics.evaluate(CellTable.flagged(spark, flagged), hospital.mask) == expected)
+  }
+
+  test("scoring a local prediction table against a loaded mask runs no query") {
+    val (executions, jobs) = (new AtomicInteger, new AtomicInteger)
+    val listener = new SparkListener {
+      override def onOtherEvent(e: SparkListenerEvent): Unit = e match {
+        case _: SparkListenerSQLExecutionStart => executions.incrementAndGet()
+        case _                                 =>
+      }
+      override def onJobStart(e: SparkListenerJobStart): Unit =
+        if (!Option(e.properties).exists(_.getProperty("spark.jobGroup.id") == "drain"))
+          jobs.incrementAndGet()
+    }
+    val (mask, pred) = (hospital.mask, hospitalPred)  // built outside the count
+    assert(Datasets.truth(mask).isDefined)
+    def run(pred: DataFrame): (Int, Int) = {
+      executions.set(0); jobs.set(0)
+      listening(listener)(Metrics.evaluate(pred, mask))
+      (executions.get, jobs.get)
+    }
+    assert(run(pred) == (0, 0))
+    import spark.implicits._
+    val projected = hospitalFlags.toSeq.map { case (t, a) => (t, a, true) }
+      .toDF("tid", "attr", "pred")
+    assert(run(projected)._1 == 1)
   }
 }

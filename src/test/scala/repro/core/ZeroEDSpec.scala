@@ -100,12 +100,15 @@ class ZeroEDSpec extends SparkSpec {
     assert((one.inputTokens, one.outputTokens) == (six.inputTokens, six.outputTokens))
     assert(one.nSampledCells == six.nSampledCells)
   }
-  /** Two runs on `d` return, score every cell once and agree. */
-  private def assertWellFormed(d: EDataset): Unit = {
+  /** Two runs on `d` return, score every cell once and agree; the first is
+    * returned.
+    */
+  private def assertWellFormed(d: EDataset): ZeroEDResult = {
     val (a, b) = (ZeroED.run(spark, d), ZeroED.run(spark, d))
     val m = a.metrics
     assert(m.tp + m.fp + m.fn + m.tn == d.tuples.length.toLong * d.attrs.size, m.toString)
     assert(a == b, s"$a vs $b")
+    a
   }
 
   test("hospital at the generator's minimum of 50 tuples runs and scores every cell") {
@@ -123,6 +126,17 @@ class ZeroEDSpec extends SparkSpec {
     try {
       assert(d.tuples.length == 200 && d.errTypes.nonEmpty)
       assertWellFormed(d)
+    } finally d.unpersist()
+  }
+
+  test("a table without errors runs and scores every cell") {
+    val spec = Datasets.byName("hospital")
+    val d = Datasets.generate(spark, spec.copy(rates = spec.rates.view.mapValues(_ => 0.0).toMap),
+                              0.1)
+    try {
+      assert(d.errTypes.isEmpty)
+      val m = assertWellFormed(d).metrics
+      assert(m.tp == 0 && m.fn == 0, m.toString)
     } finally d.unpersist()
   }
 }

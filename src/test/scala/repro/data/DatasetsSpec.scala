@@ -85,15 +85,21 @@ class DatasetsSpec extends SparkSpec {
 
   test("the truth recorded for a loaded mask is exactly the mask's cells") {
     val t = Datasets.truth(ds.mask).get
-    assert((t.tuples eq ds.tuples) && t.attrs == ds.attrs)
-    assert(t.tuples.length * t.attrs.size == ds.mask.count())
+    assert(t.tids.toSeq == ds.tuples.map(_._1).toSeq && t.attrs == ds.attrs)
+    assert(t.cellCount == ds.mask.count())
     def cells(m: DataFrame) =
       m.select("tid", "attr").collect().map(r => (r.getLong(0), r.getString(1))).toSet
-    assert(t.cells.toSet == cells(ds.mask))
+    val maskCells = cells(ds.mask)
+    assert(maskCells.size == t.cellCount && maskCells.forall(t.contains))
+    // Off the table: a tid before the first and after the last, and an
+    // attribute it does not have.
+    val (first, last, attr) = (t.tids.head, t.tids.last, ds.attrs.head)
+    for (c <- Seq((first - 1, attr), (last + 1, attr), (first, "no-such-attr"), (first, null)))
+      assert(!t.contains(c), c.toString)
     assert(t.errors == cells(ds.mask.where(col("is_error"))))
     // Each load records its own mask; a derived mask has no record.
     val again = Datasets.fromWide(ds.spec, ds.wide)
-    assert(Datasets.truth(again.mask).exists(_.tuples eq again.tuples))
+    assert(Datasets.truth(again.mask).exists(a => (a ne t) && a.errors == again.errTypes.keySet))
     assert(Datasets.truth(ds.mask.select("*")).isEmpty)
   }
 
