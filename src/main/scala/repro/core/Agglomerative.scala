@@ -61,7 +61,7 @@ object Agglomerative {
     }
 
     val centroids = active.toArray.map(centroid)
-    val assignments = Array.tabulate(n)(i => LocalKMeans.nearest(points(i), centroids))
+    val assignments = LocalKMeans.nearest(points, centroids)
     LocalKMeans.Result(assignments, centroids)
   }
 }

@@ -64,69 +64,114 @@ private[core] final case class Mlp(dim: Int, hidden: Int) {
     z(1) > z(0)
   }
 
+  /** W1's rows, then W2's rows, of `w`: the layout `blockSums` reads. */
+  def rows(w: Array[Double]): Array[Array[Double]] =
+    Array.tabulate(hidden + 2) { j =>
+      if (j < hidden) java.util.Arrays.copyOfRange(w, j * dim, (j + 1) * dim)
+      else java.util.Arrays.copyOfRange(w, oW2 + (j - hidden) * hidden, oW2 + (j - hidden + 1) * hidden)
+    }
+
   /** The sums over rows [lo, hi) of `ex`, one pair per `block` rows, in
     * block order: the example-weighted cross-entropy and its gradient, held
-    * as W1's rows followed by the rest of the weights (b1, W2, b2). Every term
-    * is the row weight times a weight-free quantity, so scaling all weights
-    * by two scales both sums exactly.
+    * as W1's rows followed by the rest of the weights (b1, W2, b2). `wRows`
+    * is `rows(w)`. Every term is the row weight times a weight-free
+    * quantity, so scaling all weights by two scales both sums exactly.
     */
-  def blockSums(w: Array[Double], ex: Examples, lo: Int, hi: Int,
+  def blockSums(w: Array[Double], wRows: Array[Array[Double]], ex: Examples, lo: Int, hi: Int,
                 block: Int): Seq[(Double, Array[Array[Double]])] = {
-    val w1t = columns(w)
-    (lo until hi by block).map(b => blockSum(w, w1t, ex, b, math.min(hi, b + block)))
+    var arrays: BlockArrays = null
+    (lo until hi by block).map { b =>
+      val nb = math.min(hi, b + block) - b
+      if (arrays == null || arrays.nb != nb) arrays = new BlockArrays(nb)
+      blockSum(w, wRows, ex, b, arrays)
+    }
   }
 
-  /** `blockSums`' sums over rows [lo, hi) of `ex`. Each pre-activation is b1
-    * plus its W1 · x terms in feature order, and each W1 gradient entry the
-    * sum of its rows' terms in row order: the same sums, rounded the same
-    * way, as one dot product at a time. Both are `Mlp.addProducts` over
-    * whole arrays: the pre-activations of a row sum W1's columns scaled by
-    * its features, and W1's gradient row j sums the block's rows scaled by
-    * their unit-j deltas.
+  /** The per-row arrays of a block of `nb` rows, which `blockSums` reuses
+    * from block to block: every entry is written before it is read.
     */
-  private def blockSum(w: Array[Double], w1t: Array[Array[Double]], ex: Examples,
-                       lo: Int, hi: Int): (Double, Array[Array[Double]]) = {
+  private final class BlockArrays(val nb: Int) {
+    val xc = Array.ofDim[Double](dim, nb)      // the block's features, feature × row
+    val h = Array.ofDim[Double](hidden, nb)    // hidden activations, unit × row
+    val z = Array.ofDim[Double](2, nb)         // output logits, class × row
+    val d = Array.ofDim[Double](2, nb)         // output deltas, class × row
+    val dh = Array.ofDim[Double](hidden, nb)   // hidden deltas, unit × row
+  }
+
+  /** `blockSums`' sums over the `arrays.nb` rows of `ex` from `lo`,
+    * computed across the block's rows: the rows are copied once into feature columns, and every
+    * per-row quantity is held unit × row. Each pre-activation is b1 plus its
+    * W1 · x terms in feature order, each logit b2 plus its W2 · h terms in
+    * unit order, and each gradient entry the sum of its rows' terms in row
+    * order: the same sums, rounded the same way, as one row and one dot
+    * product at a time.
+    */
+  private def blockSum(w: Array[Double], wRows: Array[Array[Double]], ex: Examples,
+                       lo: Int, arrays: BlockArrays): (Double, Array[Array[Double]]) = {
+    val nb = arrays.nb
     val g = gradRows()
     val rest = g(hidden)
-    val a = new Array[Double](hidden)
-    val h = new Array[Double](hidden)
-    val z = new Array[Double](2)
-    val d = new Array[Double](2)
-    val dh = Array.ofDim[Double](hidden, hi - lo)  // hidden deltas, unit × row
-    var loss = 0.0
+    val xc = arrays.xc
     var r = 0
-    while (r < hi - lo) {
+    while (r < nb) {
+      val x = ex.x(lo + r)
+      var k = 0
+      while (k < dim) { xc(k)(r) = x(k); k += 1 }
+      r += 1
+    }
+    val h = arrays.h
+    var j = 0
+    while (j < hidden) {
+      val hj = h(j)
+      java.util.Arrays.fill(hj, w(oB1 + j))
+      Mlp.addProducts(wRows(j), xc, hj)
+      r = 0
+      while (r < nb) { hj(r) = 1.0 / (1.0 + math.exp(-hj(r))); r += 1 }
+      j += 1
+    }
+    val z = arrays.z
+    var c = 0
+    while (c < 2) {
+      java.util.Arrays.fill(z(c), w(oB2 + c))
+      Mlp.addProducts(wRows(hidden + c), h, z(c))
+      c += 1
+    }
+    val d = arrays.d
+    var loss = 0.0
+    r = 0
+    while (r < nb) {
       val wt = ex.weight(lo + r)
       val y = ex.y(lo + r)
-      System.arraycopy(w, oB1, a, 0, hidden)
-      Mlp.addProducts(ex.x(lo + r), w1t, a)
-      var j = 0
-      while (j < hidden) { h(j) = 1.0 / (1.0 + math.exp(-a(j))); j += 1 }
-      output(w, h, z)
-      val m = math.max(z(0), z(1))
-      val lse = m + math.log(math.exp(z(0) - m) + math.exp(z(1) - m))
-      loss += wt * (lse - z(y))
-      var c = 0
+      val m = math.max(z(0)(r), z(1)(r))
+      val lse = m + math.log(math.exp(z(0)(r) - m) + math.exp(z(1)(r) - m))
+      loss += wt * (lse - z(y)(r))
+      c = 0
       while (c < 2) {
-        d(c) = wt * (math.exp(z(c) - lse) - (if (y == c) 1.0 else 0.0))
-        rest(oB2 - oB1 + c) += d(c)
+        val dc = wt * (math.exp(z(c)(r) - lse) - (if (y == c) 1.0 else 0.0))
+        d(c)(r) = dc
+        rest(oB2 - oB1 + c) += dc
         val row = oW2 - oB1 + c * hidden
         j = 0
-        while (j < hidden) { rest(row + j) += d(c) * h(j); j += 1 }
+        while (j < hidden) { rest(row + j) += dc * h(j)(r); j += 1 }
         c += 1
-      }
-      j = 0
-      while (j < hidden) {
-        dh(j)(r) = (w(oW2 + j) * d(0) + w(oW2 + hidden + j) * d(1)) * h(j) * (1.0 - h(j))
-        rest(j) += dh(j)(r)
-        j += 1
       }
       r += 1
     }
+    val dh = arrays.dh
+    j = 0
+    while (j < hidden) {
+      val v0 = w(oW2 + j); val v1 = w(oW2 + hidden + j)
+      val hj = h(j); val dhj = dh(j); val d0 = d(0); val d1 = d(1)
+      r = 0
+      while (r < nb) { dhj(r) = (v0 * d0(r) + v1 * d1(r)) * hj(r) * (1.0 - hj(r)); r += 1 }
+      var s = rest(j)
+      r = 0
+      while (r < nb) { s += dhj(r); r += 1 }
+      rest(j) = s
+      j += 1
+    }
     // W1's gradient: the sum over the block's rows of dh · x.
-    val xs = java.util.Arrays.copyOfRange(ex.x, lo, hi)
-    var j = 0
-    while (j < hidden) { Mlp.addProducts(dh(j), xs, g(j)); j += 1 }
+    Mlp.addOuterProducts(dh, ex.x, lo, g)
     (loss, g)
   }
 }
@@ -153,6 +198,41 @@ private[core] object Mlp {
       val st = s(t); val xt = xs(t)
       var i = 0
       while (i < n) { y(i) += st * xt(i); i += 1 }
+      t += 1
+    }
+  }
+
+  /** ys(j)(i) += s(j)(0) * xs(lo)(i) + s(j)(1) * xs(lo + 1)(i) + ... for
+    * every row j of `s` and every index i of `ys(j)`: `addProducts` of each
+    * row j, with its loops interchanged. Four rows of `xs` are read once and
+    * serve every j in turn, and every entry adds its terms one at a time in
+    * order, as `addProducts` adds them.
+    */
+  def addOuterProducts(s: Array[Array[Double]], xs: Array[Array[Double]], lo: Int,
+                       ys: Array[Array[Double]]): Unit = {
+    val nt = if (s.isEmpty) 0 else s(0).length
+    var t = 0
+    while (t + 4 <= nt) {
+      val x0 = xs(lo + t); val x1 = xs(lo + t + 1); val x2 = xs(lo + t + 2); val x3 = xs(lo + t + 3)
+      var j = 0
+      while (j < s.length) {
+        val sj = s(j); val y = ys(j)
+        val s0 = sj(t); val s1 = sj(t + 1); val s2 = sj(t + 2); val s3 = sj(t + 3)
+        var i = 0
+        while (i < y.length) { y(i) = (((y(i) + s0 * x0(i)) + s1 * x1(i)) + s2 * x2(i)) + s3 * x3(i); i += 1 }
+        j += 1
+      }
+      t += 4
+    }
+    while (t < nt) {
+      val xt = xs(lo + t)
+      var j = 0
+      while (j < s.length) {
+        val st = s(j)(t); val y = ys(j)
+        var i = 0
+        while (i < y.length) { y(i) += st * xt(i); i += 1 }
+        j += 1
+      }
       t += 1
     }
   }
@@ -244,18 +324,20 @@ object Detector {
     * any thread count.
     */
   private[core] def lossGrad(mlp: Mlp, ex: Examples, w: Array[Double]): (Double, Array[Double]) = {
+    val wRows = mlp.rows(w)
     val chunks = (0 until ex.size by ChunkSize).map(lo => (lo, math.min(ex.size, lo + ChunkSize)))
-    val blocks = Par.map(chunks) { case (lo, hi) => mlp.blockSums(w, ex, lo, hi, BlockSize) }
+    val blocks = Par.map(chunks) { case (lo, hi) => mlp.blockSums(w, wRows, ex, lo, hi, BlockSize) }
+      .flatten.toArray
     var loss = 0.0
+    blocks.foreach { case (l, _) => loss += l }
+    // Each gradient row adds the blocks' rows in block order; rows in parallel.
     val sum = mlp.gradRows()
-    blocks.flatten.foreach { case (l, g) =>
-      loss += l
-      var j = 0
-      while (j < g.length) {
-        val gj = g(j); val sj = sum(j)
+    Par.map(sum.indices) { j =>
+      val sj = sum(j)
+      blocks.foreach { case (_, g) =>
+        val gj = g(j)
         var k = 0
         while (k < sj.length) { sj(k) += gj(k); k += 1 }
-        j += 1
       }
     }
     (loss / ex.totalWeight, sum.flatten.map(_ / ex.totalWeight))

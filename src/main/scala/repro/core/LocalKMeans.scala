@@ -7,6 +7,10 @@ import repro.util.Rng
   * Per-attribute cell-feature sets hold one point per tuple (≤ ~7.4k on the
   * comparison datasets at paper scale, 10k on Tax 10k), so clustering runs
   * on the driver, deterministically, as the original runs sklearn there.
+  *
+  * Every distance is the squared euclidean distance summed over dimensions
+  * in order, as `sqDist` sums it, but `fit` computes one centroid's
+  * distances to a whole `Blocks` block at a time, which runs across points.
   */
 object LocalKMeans {
 
@@ -14,26 +18,90 @@ object LocalKMeans {
 
   private val MaxIter = 12
 
+  /** Points per column-major block. */
+  private val BlockSize = 256
+
+  /** `points` transposed once into blocks of `BlockSize` points: column d of
+    * block b holds dimension d of points [b · BlockSize, b · BlockSize + len).
+    */
+  private final class Blocks(points: Array[Array[Double]]) {
+    private val n = points.length
+    private val dim = points(0).length
+    private val cols: Array[Array[Array[Double]]] =
+      Array.tabulate((n + BlockSize - 1) / BlockSize) { b =>
+        val lo = b * BlockSize
+        val len = math.min(BlockSize, n - lo)
+        Array.tabulate(dim)(d => Array.tabulate(len)(i => points(lo + i)(d)))
+      }
+
+    val count: Int = cols.length
+
+    /** The number of points in block `b`. */
+    def len(b: Int): Int = math.min(BlockSize, n - b * BlockSize)
+
+    /** `dist(i)`, for every point i of block `b`, is the squared distance
+      * from point b · BlockSize + i to `c`. Each sum adds dimensions in order,
+      * so it equals `sqDist` bit for bit; C2 compiles the inner loop to vector
+      * subtracts, multiplies and adds across the block's points.
+      */
+    def sqDists(b: Int, c: Array[Double], dist: Array[Double]): Unit = {
+      val block = cols(b)
+      val len = this.len(b)
+      java.util.Arrays.fill(dist, 0, len, 0.0)
+      var d = 0
+      while (d < dim) {
+        val col = block(d); val cd = c(d)
+        var i = 0
+        while (i < len) { val t = col(i) - cd; dist(i) += t * t; i += 1 }
+        d += 1
+      }
+    }
+
+    /** The index of the centroid of `cs` nearest each point, into `assign`:
+      * the lowest index among equal distances, as the strict `<` keeps the
+      * first. A block's points meet every centroid before the next block.
+      */
+    def nearest(cs: Array[Array[Double]], assign: Array[Int]): Unit = {
+      val bestD = new Array[Double](BlockSize)
+      val dist = new Array[Double](BlockSize)
+      var b = 0
+      while (b < count) {
+        val lo = b * BlockSize; val len = this.len(b)
+        java.util.Arrays.fill(assign, lo, lo + len, 0)
+        java.util.Arrays.fill(bestD, Double.MaxValue)
+        var c = 0
+        while (c < cs.length) {
+          sqDists(b, cs(c), dist)
+          var i = 0
+          while (i < len) {
+            if (dist(i) < bestD(i)) { bestD(i) = dist(i); assign(lo + i) = c }
+            i += 1
+          }
+          c += 1
+        }
+        b += 1
+      }
+    }
+  }
+
   def fit(points: Array[Array[Double]], k: Int, seedKey: String): Result = {
     require(points.nonEmpty, "kmeans on empty input")
     val n = points.length
     val kk = math.max(1, math.min(k, n))
-    val centroids = plusPlusInit(points, kk, seedKey)
+    val blocks = new Blocks(points)
+    val centroids = plusPlusInit(points, blocks, kk, seedKey)
     val assign = new Array[Int](n)
+    val next = new Array[Int](n)
     var iter = 0
     var moved = true
     while (iter < MaxIter && moved) {
-      moved = false
-      var i = 0
-      while (i < n) {
-        val c = nearest(points(i), centroids)
-        if (c != assign(i)) { assign(i) = c; moved = true }
-        i += 1
-      }
+      blocks.nearest(centroids, next)
+      moved = !java.util.Arrays.equals(next, assign)
+      System.arraycopy(next, 0, assign, 0, n)
       // recompute means; empty clusters keep their previous centroid
       val sums = Array.fill(kk)(new Array[Double](points(0).length))
       val cnt = new Array[Int](kk)
-      i = 0
+      var i = 0
       while (i < n) {
         val c = assign(i); cnt(c) += 1
         add(sums(c), points(i))
@@ -70,22 +138,30 @@ object LocalKMeans {
     best
   }
 
-  private def plusPlusInit(points: Array[Array[Double]], k: Int,
+  /** k-means++: the first centroid a seeded point, each next one a point
+    * drawn with probability proportional to its squared distance to the
+    * nearest centroid so far (a seeded point when every distance is 0).
+    */
+  private def plusPlusInit(points: Array[Array[Double]], blocks: Blocks, k: Int,
                            seedKey: String): Array[Array[Double]] = {
     val n = points.length
     val centroids = new Array[Array[Double]](k)
     centroids(0) = points(Rng.int(n, seedKey, "init0")).clone()
     val minD = Array.fill(n)(Double.MaxValue)
+    val dist = new Array[Double](BlockSize)
     var c = 1
     while (c < k) {
-      var i = 0
-      var total = 0.0
-      while (i < n) {
-        val d = sqDist(points(i), centroids(c - 1))
-        if (d < minD(i)) minD(i) = d
-        total += minD(i)
-        i += 1
+      var b = 0
+      while (b < blocks.count) {
+        blocks.sqDists(b, centroids(c - 1), dist)
+        val lo = b * BlockSize; val len = blocks.len(b)
+        var i = 0
+        while (i < len) { if (dist(i) < minD(lo + i)) minD(lo + i) = dist(i); i += 1 }
+        b += 1
       }
+      var total = 0.0
+      var i = 0
+      while (i < n) { total += minD(i); i += 1 }
       if (total <= 0) {
         centroids(c) = points(Rng.int(n, seedKey, "dup", c)).clone()
       } else {
@@ -99,14 +175,13 @@ object LocalKMeans {
     centroids
   }
 
-  def nearest(p: Array[Double], cs: Array[Array[Double]]): Int = {
-    var best = 0; var bestD = Double.MaxValue; var c = 0
-    while (c < cs.length) {
-      val d = sqDist(p, cs(c))
-      if (d < bestD) { bestD = d; best = c }
-      c += 1
-    }
-    best
+  /** The index of the centroid of `cs` nearest each of `points` (the lowest
+    * index among equal distances).
+    */
+  def nearest(points: Array[Array[Double]], cs: Array[Array[Double]]): Array[Int] = {
+    val assign = new Array[Int](points.length)
+    if (points.nonEmpty) new Blocks(points).nearest(cs, assign)
+    assign
   }
 
   def sqDist(a: Array[Double], b: Array[Double]): Double = {

@@ -41,7 +41,7 @@ object Sampling {
       }
       val reps = picked.toArray
       val centroids = reps.map(feats)
-      val assignments = Array.tabulate(n)(j => LocalKMeans.nearest(feats(j), centroids))
+      val assignments = LocalKMeans.nearest(feats, centroids)
       // Force each representative into its own Voronoi cell (distance ties).
       reps.zipWithIndex.foreach { case (p, c) => assignments(p) = c }
       AttrClusters(attr, assignments, reps)

@@ -1,7 +1,7 @@
 package repro.core
 
 import repro.llm.{Criteria, Criterion, LLMProfile, SimLLM}
-import repro.util.{Rng, TokenMeter}
+import repro.util.{Par, Rng, TokenMeter}
 
 /** Training-data construction — Algorithm 1 of the paper.
   *
@@ -40,7 +40,7 @@ object TrainData {
       useVerify: Boolean,
   ): Outcome = {
     val labels = Seq.newBuilder[LabeledCell]
-    val augmented = Seq.newBuilder[Augmented]
+    val toAugment = Vector.newBuilder[(String, String, Map[String, String])]
     val refined = Map.newBuilder[String, Seq[Criterion]]
 
     attrCells.toSeq.sortBy(_._1).foreach { case (attr, cells) =>
@@ -109,12 +109,22 @@ object TrainData {
           val values = SimLLM.augmentErrors(profile, meter, dsName, attr,
             keptClean.take(50).map(cells.values).toSeq, want)
           values.zip(srcIdx).foreach { case (v, si) =>
-            val row = rowCtx(cells.tids(si)) + (attr -> v)
-            augmented += Augmented(attr, v, model.finalVec(attr, row))
+            toAugment += ((attr, v, rowCtx(cells.tids(si)) + (attr -> v)))
           }
         }
       }
     }
-    Outcome(labels.result(), augmented.result(), refined.result())
+    Outcome(labels.result(), augment(model, toAugment.result()), refined.result())
+  }
+
+  /** The `Augmented` rows of (attr, value, tuple) triples, in their order,
+    * featurized in parallel chunks.
+    */
+  private def augment(model: FeatureModel,
+                      rows: Vector[(String, String, Map[String, String])]): Seq[Augmented] = {
+    val chunk = math.max(1, rows.length / (4 * Runtime.getRuntime.availableProcessors))
+    Par.map(rows.grouped(chunk).toSeq)(_.map { case (attr, v, row) =>
+      Augmented(attr, v, model.finalVec(attr, row))
+    }).flatten
   }
 }

@@ -61,6 +61,18 @@ class CorrelationSpec extends SparkSpec {
     }
   }
 
+  test("topK's pair scores equal nmi of each pair, bit for bit, on hospital and flights") {
+    for (ds <- Seq(TestData.hospitalSmall(spark), TestData.flightsSmall(spark))) {
+      val cols = Correlation.sampleColumns(ds.tuples, ds.attrs)
+      val scores = Correlation.pairScores(cols, ds.attrs)
+      assert(scores.size == ds.attrs.size * (ds.attrs.size - 1) / 2)
+      scores.foreach { case ((a, b), got) =>
+        val want = Correlation.nmi(cols(a), cols(b))
+        assert(got == want, s"${ds.name}: NMI($a, $b) $got != $want")
+      }
+    }
+  }
+
   test("oracle: co-occurrence counts behind NMI match DuckDB") {
     val ds = TestData.hospitalSmall(spark)
     val co = ds.dirty.groupBy("city", "state").agg(count(lit(1)).as("n"))

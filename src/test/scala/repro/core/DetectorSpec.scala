@@ -337,8 +337,10 @@ class DetectorSpec extends SparkSpec {
 
   test("the objective equals the sequential block-by-block oracle, bit for bit") {
     // A partial block (10, 65), a partial chunk (257, 1000) and vector tails
-    // (dim 3, 6 and 87; 65 and 257 rows).
-    for ((dim, hidden, rows) <- Seq((3, 4, 10), (6, 5, 64), (6, 5, 65), (87, 32, 257), (87, 32, 1000))) {
+    // (dim 3, 6 and 87; 65 and 257 rows). 107 and 1003 rows end in a block
+    // of 43, which is neither a multiple of 4 nor of 64 rows.
+    for ((dim, hidden, rows) <- Seq((3, 4, 10), (6, 5, 64), (6, 5, 65), (6, 5, 107),
+                                    (87, 32, 257), (87, 32, 1000), (87, 32, 1003))) {
       val mlp = Mlp(dim, hidden)
       val ex = Examples(
         Array.tabulate(rows)(i => Array.tabulate(dim)(k => Rng.unif("ox", dim, i, k) * 2 - 1)),

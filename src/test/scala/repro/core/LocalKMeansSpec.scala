@@ -70,8 +70,23 @@ class LocalKMeansSpec extends AnyFunSuite {
 
   test("nearest picks the argmin centroid") {
     val cs = Array(Array(0.0, 0.0), Array(5.0, 5.0))
-    assert(LocalKMeans.nearest(Array(1.0, 1.0), cs) == 0)
-    assert(LocalKMeans.nearest(Array(4.0, 4.9), cs) == 1)
+    assert(LocalKMeans.nearest(Array(Array(1.0, 1.0), Array(4.0, 4.9)), cs).toSeq == Seq(0, 1))
+  }
+
+  test("nearest breaks a tie towards the lower centroid index") {
+    val cs = Array(Array(2.0), Array(0.0), Array(2.0), Array(0.0))
+    assert(LocalKMeans.nearest(Array(Array(1.0), Array(2.0), Array(0.0)), cs).toSeq == Seq(0, 0, 1))
+  }
+
+  test("fit equals the scalar reference at block edges, k >= n, ties and one repeated point") {
+    for {
+      kind <- Seq("spread", "grid", "same")
+      dim <- Seq(1, 5, 87)
+      (n, k) <- Seq((1, 1), (7, 7), (7, 12), (100, 9), (255, 16), (256, 16), (257, 16), (257, 300))
+    } {
+      val diff = LocalKMeansProps.difference(LocalKMeansProps.points(kind, n, dim, n + dim), k, s"edge-$n")
+      assert(diff.isEmpty, s"$kind n=$n dim=$dim k=$k: ${diff.getOrElse("")} differ")
+    }
   }
 
   test("sqDist is squared euclidean") {
