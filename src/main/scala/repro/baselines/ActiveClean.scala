@@ -17,7 +17,7 @@ object ActiveClean {
   val LabeledTuples = 2
 
   def detect(spark: SparkSession, ds: EDataset): DataFrame = {
-    val stats = CellStats.count(ds.tuples, ds.attrs, Seq.empty)
+    val stats = ds.stats
     val features = featurizer(stats)
     val labeled = trainingRows(ds, stats)
 

@@ -1,7 +1,6 @@
 package repro.baselines
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import repro.core.CellStats
 import repro.data.{CellTable, EDataset}
 import repro.llm.Criteria
 
@@ -22,7 +21,7 @@ object DBoost {
   val MaxHistogramCardinality = 250
 
   def detect(spark: SparkSession, ds: EDataset): DataFrame = {
-    val stats = CellStats.count(ds.tuples, ds.attrs, Seq.empty)
+    val stats = ds.stats
     val n = stats.n.toDouble
     val valCounts = stats.valueCounts
     val distinctPerAttr = valCounts.keys.groupBy(_._1).view.mapValues(_.size).toMap

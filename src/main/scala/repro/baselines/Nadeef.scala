@@ -12,11 +12,9 @@ import repro.data.{CellTable, EDataset, FD}
   */
 object Nadeef {
 
-  /** The co-occurrence pairs the FD check reads: each FD's (rhs, lhs). */
-  def fdPairs(fds: Seq[FD]): Seq[(String, String)] = fds.map(fd => fd.rhs -> fd.lhs)
-
-  /** The one definition of an FD violation, read from counts made with `fdPairs(fds)`:
-    * each FD's lhs values that co-occur with more than one rhs value.
+  /** The one definition of an FD violation, read from counts made with
+    * `FD.pairs(fds)`, as `EDataset.stats` are: each FD's lhs values that
+    * co-occur with more than one rhs value.
     */
   def fdViolations(fds: Seq[FD], stats: CellStats): Map[FD, Set[String]] = {
     // Co-occurrence keys are distinct: a (rhs, lhs, lv) group's keys are its rhs values.
@@ -31,7 +29,7 @@ object Nadeef {
 
   def detect(spark: SparkSession, ds: EDataset): DataFrame = {
     val fds = ds.spec.fds
-    val viol = fdViolations(fds, CellStats.count(ds.tuples, ds.attrs, fdPairs(fds)))
+    val viol = fdViolations(fds, ds.stats)
     // Not-null rules + regex pattern rules (the dataset's "manual criteria"),
     // each pattern compiled once.
     val patterns = ds.spec.nadeefPatterns.map { case (a, re) => a -> Pattern.compile(re) }

@@ -1,7 +1,7 @@
 package repro.baselines
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import repro.core.{CellStats, LocalKMeans}
+import repro.core.LocalKMeans
 import repro.data.{CellTable, EDataset}
 import repro.llm.Criteria
 
@@ -18,14 +18,13 @@ object Raha {
   val ClustersPerAttr = 4
 
   def detect(spark: SparkSession, ds: EDataset): DataFrame = {
-    val fds = ds.spec.fds
     // Every tuple in tid order: the k-means input order.
     val tuples = ds.tuples
-    val stats = CellStats.count(tuples, ds.attrs, Nadeef.fdPairs(fds))
+    val stats = ds.stats
     val n = stats.n.toDouble
 
     // FD-violation strategy (Nadeef's constraint set and definition).
-    val viol = Nadeef.fdViolations(fds, stats)
+    val viol = Nadeef.fdViolations(ds.spec.fds, stats)
     val fdFlagged: Set[(Long, String)] =
       tuples.flatMap { case (t, row) => Nadeef.fdFlagged(viol, row).map(t -> _) }.toSet
 

@@ -27,28 +27,38 @@ final case class CellStats(
 
 object CellStats {
 
-  /** Count the tuples, the (attr, value)s, the (attr, level, pattern)s of the
-    * L1–L3 patterns and, for each (attr, other) pair, the
-    * (attr, value, other, otherValue)s of the collected `tuples`, one
-    * attribute per task: each task counts its attribute's values, the patterns
-    * of its distinct values, and the pairs that start at it.
+  /** Count the tuples, the (attr, value)s and the (attr, level, pattern)s of
+    * the L1–L3 patterns of the collected `tuples`, one attribute per task
+    * (each task counts its attribute's values, then the patterns of its
+    * distinct values), and the co-occurrences of `pairs` (`coCounts`).
     */
   def count(tuples: Array[(Long, Map[String, String])], attrs: IndexedSeq[String],
             pairs: Seq[(String, String)]): CellStats = {
     val rows = tuples.map(_._2)
-    def counts[K](keys: Array[K]): Map[K, Long] = keys.groupMapReduce(identity)(_ => 1L)(_ + _)
     val perAttr = Par.map(attrs) { a =>
       val values = counts(rows.map(r => (a, r(a))))
       val pats = values.toSeq.flatMap { case ((_, v), c) =>
         Patterns.all(v).zipWithIndex.map { case (p, i) => ((a, i + 1, p), c) }
       }.groupMapReduce(_._1)(_._2)(_ + _)
-      val co = counts(pairs.filter(_._1 == a).toArray.flatMap { case (_, q) =>
-        rows.map(r => (a, r(a), q, r(q)))
-      })
-      (values, pats, co)
+      (values, pats)
     }
     // Every key starts with its task's attribute, so the tasks' maps are disjoint.
     CellStats(tuples.length.toLong, perAttr.flatMap(_._1).toMap, perAttr.flatMap(_._2).toMap,
-              perAttr.flatMap(_._3).toMap)
+              coCounts(tuples, pairs))
   }
+
+  /** For each (attr, other) pair, the (attr, value, other, otherValue)s of the
+    * collected `tuples`, one task per first attribute of the pairs.
+    */
+  def coCounts(tuples: Array[(Long, Map[String, String])],
+               pairs: Seq[(String, String)]): Map[(String, String, String, String), Long] = {
+    val rows = tuples.map(_._2)
+    Par.map(pairs.map(_._1).distinct) { a =>
+      counts(pairs.filter(_._1 == a).toArray.flatMap { case (_, q) =>
+        rows.map(r => (a, r(a), q, r(q)))
+      })
+    }.flatten.toMap
+  }
+
+  private def counts[K](keys: Array[K]): Map[K, Long] = keys.groupMapReduce(identity)(_ => 1L)(_ + _)
 }

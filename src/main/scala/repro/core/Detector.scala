@@ -258,7 +258,9 @@ private[core] object Examples {
   }
 
   def apply(rows: Seq[(Array[Double], Int)]): Examples = {
-    val sorted = rows.toArray.sorted(canonical)
+    // Stable, on the common fork-join pool: the order of a sequential stable sort.
+    val sorted = rows.toArray
+    java.util.Arrays.parallelSort(sorted, canonical)
     val x = Array.newBuilder[Array[Double]]
     val y = Array.newBuilder[Int]
     val weight = Array.newBuilder[Double]

@@ -13,8 +13,8 @@ final case class FeatureOpts(
     useCorr: Boolean = true,
 )
 
-/** The fitted per-dataset feature statistics (Section III-B), counted by
-  * `CellStats.count` from the collected tuples:
+/** The fitted per-dataset feature statistics (Section III-B): the dataset's
+  * `CellStats` with the co-occurrences of the correlated pairs:
   *
   *  f_base(cell) = [valueFreq, vicinityFreq] ⊕ [patFreq L1..L3] ⊕ f_sem ⊕ f_cri
   *  Feat(cell)   = f_base(cell) ⊕ f_base(correlated cells of the same tuple)
@@ -142,8 +142,11 @@ object FeatureModel {
           profile: LLMProfile, meter: TokenMeter, opts: FeatureOpts): FeatureModel =
     fit(ds, CellTable.tuples(ds.dirty, ds.attrs), corr, profile, meter, opts)
 
-  /** Fit all statistics from the tid-sorted dirty `tuples` and reason the
-    * initial criteria from a random tuple sample (metered LLM calls).
+  /** Fit the feature statistics and reason the initial criteria from a
+    * random sample of the tid-sorted dirty `tuples`, the tuples of
+    * `ds.tuples` (metered LLM calls). The value and pattern counts are
+    * `ds.stats`' own maps; only the co-occurrences of the correlated pairs
+    * are counted here.
     */
   def fit(ds: EDataset, tuples: Array[(Long, Map[String, String])],
           corr: Map[String, Seq[String]], profile: LLMProfile, meter: TokenMeter,
@@ -156,13 +159,19 @@ object FeatureModel {
       if (!opts.useCorr) Seq.empty
       else corr.toSeq.flatMap { case (a, qs) => qs.take(opts.corrK).map(a -> _) }
 
-    val stats = CellStats.count(tuples, attrs, pairs)
+    require(tuples.length.toLong == ds.stats.n,
+            s"${tuples.length} tuples, but ${ds.name}'s stats count ${ds.stats.n}")
+    val stats = ds.stats.copy(coCounts = CellStats.coCounts(tuples, pairs))
     val n = stats.n
 
-    // Distribution analysis (the executed "analysis functions" of Fig. 5).
+    // Distribution analysis (the executed "analysis functions" of Fig. 5),
+    // from each attribute's value and L2 pattern counts, grouped once.
+    val valuesOf = stats.valueCounts.toSeq.groupMap(_._1._1) { case ((_, v), c) => (v, c) }
+    val patsOf = stats.patCounts.toSeq.collect { case ((a, 2, p), c) => (a, (p, c)) }
+      .groupMap(_._1)(_._2)
     val dists = attrs.map { a =>
-      val vc = stats.valueCounts.collect { case ((`a`, v), c) => (v, c) }.toSeq
-      val pc = stats.patCounts.collect { case ((`a`, 2, p), c) => (p, c) }.toSeq
+      val vc = valuesOf.getOrElse(a, Seq.empty)
+      val pc = patsOf.getOrElse(a, Seq.empty)
       val nums = vc.flatMap { case (v, c) => Criteria.parseNumber(v).map(_ -> c) }
       val numRange =
         if (nums.map(_._2).sum >= 0.8 * n) Some((nums.map(_._1).min, nums.map(_._1).max))

@@ -4,6 +4,7 @@ import com.google.common.collect.MapMaker
 import org.apache.spark.sql.{DataFrame, Row, SparkSession}
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types._
+import repro.core.CellStats
 
 /** One materialized evaluation dataset: the dirty table the detectors see,
   * the clean ground truth, and the per-cell error mask derived from injection.
@@ -18,6 +19,11 @@ import org.apache.spark.sql.types._
   * as (tid, attr→value), sorted by tid (the form of `CellTable.tuples`), and
   * the ground truth, the err_type of each erroneous (tid, attr) cell (the
   * form of `SimLLM.errorTypes`).
+  *
+  * `stats` are the cell statistics of `tuples` that ZeroED's features and the
+  * statistical baselines read: n, the value and L1–L3 pattern counts, and the
+  * co-occurrences of the spec's FD pairs. `fromWide` counts them at load; a
+  * copy with other `tuples` counts its own on first use.
   */
 final case class EDataset(spec: DatasetSpec, dirty: DataFrame,
                           clean: DataFrame, mask: DataFrame, wide: DataFrame,
@@ -25,6 +31,8 @@ final case class EDataset(spec: DatasetSpec, dirty: DataFrame,
                           errTypes: Map[(Long, String), String]) {
   def name: String = spec.name
   def attrs: IndexedSeq[String] = spec.attrNames
+
+  lazy val stats: CellStats = CellStats.count(tuples, attrs, FD.pairs(spec.fds))
 
   /** Release the cached `wide` table and any cache a caller added to
     * `dirty`, `clean` or `mask`.
@@ -92,7 +100,7 @@ object Datasets {
 
   /** The dataset whose tables are views of `wide`, with its driver-side
     * forms read in one collect of `wide`'s tid, dirty and error-type columns,
-    * and its mask recorded against that truth.
+    * its cell statistics counted, and its mask recorded against that truth.
     */
   private[repro] def fromWide(spec: DatasetSpec, wide: DataFrame): EDataset = {
     val attrs = spec.attrNames
@@ -114,6 +122,8 @@ object Datasets {
         .filter(_._2.nonEmpty)
     }.toMap
     truths.put(mask, MaskTruth(tuples.map(_._1), attrs, errTypes.keySet))
-    EDataset(spec, dirty, clean, mask, wide, tuples, errTypes)
+    val ds = EDataset(spec, dirty, clean, mask, wide, tuples, errTypes)
+    ds.stats
+    ds
   }
 }

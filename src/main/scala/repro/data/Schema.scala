@@ -43,6 +43,12 @@ final case class AttrSpec(name: String, gen: Gen)
   */
 final case class FD(lhs: String, rhs: String)
 
+object FD {
+
+  /** The co-occurrence pairs an FD check reads: each FD's (rhs, lhs). */
+  def pairs(fds: Seq[FD]): Seq[(String, String)] = fds.map(fd => fd.rhs -> fd.lhs)
+}
+
 /** One evaluation dataset: schema, tuple count, FD structure, per-error-type
   * injection rates (% of all cells), and the external "manual" artifacts the
   * criteria-based baselines consume (Nadeef regexes, Katara KB relations).

@@ -165,7 +165,7 @@ class BaselinesSpec extends SparkSpec {
     val fds = hospital.spec.fds
     val viol = Nadeef.fdViolations(fds,
       CellStats.count(CellTable.tuples(hospital.dirty, hospital.attrs), hospital.attrs,
-                      Nadeef.fdPairs(fds)))
+                      FD.pairs(fds)))
     val flagged = hospital.dirty.collect().toSeq.flatMap { r =>
       Nadeef.fdFlagged(viol, r.getAs[String](_)).map(a => (r.getAs[Long]("tid"), a))
     }.toDF("tid", "attr")

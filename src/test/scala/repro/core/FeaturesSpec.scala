@@ -74,6 +74,35 @@ class FeaturesSpec extends SparkSpec {
       "cells" -> cells, "pairs" -> pairs)
   }
 
+  test("fit reads the dataset's value and pattern counts and counts only the correlated pairs") {
+    assert(model.stats.valueCounts eq ds.stats.valueCounts)
+    assert(model.stats.patCounts eq ds.stats.patCounts)
+    assert(model.stats.n == ds.stats.n)
+    val pairs = corr.toSeq.flatMap { case (a, qs) => qs.take(model.opts.corrK).map(a -> _) }
+    assert(model.stats.coCounts == CellStats.coCounts(ds.tuples, pairs))
+    val noCorr = FeatureModel.fit(ds, ds.tuples, corr, ModelProfiles.qwen72b, TokenMeter.local(),
+                                  FeatureOpts(useCorr = false, useCriteria = false))
+    assert(noCorr.stats.coCounts.isEmpty && (noCorr.stats.valueCounts eq ds.stats.valueCounts))
+    intercept[IllegalArgumentException](FeatureModel.fit(ds, ds.tuples.take(10), corr,
+      ModelProfiles.qwen72b, TokenMeter.local(), FeatureOpts(useCriteria = false)))
+  }
+
+  test("distribution analysis equals a scan of each attribute's counts") {
+    val n = model.stats.n
+    for (a <- ds.attrs) {
+      val vc = model.stats.valueCounts.collect { case ((`a`, v), c) => (v, c) }.toSeq
+      val pc = model.stats.patCounts.collect { case ((`a`, 2, p), c) => (p, c) }.toSeq
+      val nums = vc.flatMap { case (v, c) => repro.llm.Criteria.parseNumber(v).map(_ -> c) }
+      val numRange =
+        if (nums.map(_._2).sum >= 0.8 * n) Some((nums.map(_._1).min, nums.map(_._1).max))
+        else None
+      assert(model.dists(a) == repro.llm.AttrDist(a, n,
+        vc.sortBy { case (v, c) => (-c, v) }.take(10),
+        pc.sortBy { case (p, c) => (-c, p) }.take(10),
+        numRange, vc.count(_._2 == 1L)), a)
+    }
+  }
+
   test("pattern frequency reflects the dominant format") {
     // clean zips are 5 digits: the D[5] pattern dominates
     assert(model.patternFreq("zip", 2, "12345") > 0.8)

@@ -3,6 +3,7 @@ package repro.data
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec, TestData}
+import repro.core.CellStats
 import repro.llm.SimLLM
 
 class DatasetsSpec extends SparkSpec {
@@ -80,6 +81,24 @@ class DatasetsSpec extends SparkSpec {
     for (d <- Seq(one, six)) {
       assert(d.tuples.toSeq == ds.tuples.toSeq)
       assert(d.errTypes == ds.errTypes)
+    }
+  }
+
+  test("stats are the counts of the tuples, with the FD pairs' co-occurrences") {
+    for (d <- Seq(ds, TestData.flightsSmall(spark))) {
+      val pairs = FD.pairs(d.spec.fds)
+      val counted = CellStats.count(CellTable.tuples(d.dirty, d.attrs), d.attrs, pairs)
+      val stats = d.stats
+      assert(stats.n == counted.n, d.name)
+      assert(stats.valueCounts == counted.valueCounts, d.name)
+      assert(stats.patCounts == counted.patCounts, d.name)
+      assert(stats.coCounts == counted.coCounts, d.name)
+      assert(stats.coCounts.keySet.map(k => (k._1, k._3)) == pairs.toSet, d.name)
+      // A copy with other tuples counts them, not the loaded ones.
+      val even = d.tuples.filter(_._1 % 2 == 0)
+      val copy = d.copy(tuples = even)
+      assert(copy.stats == CellStats.count(even, d.attrs, pairs), d.name)
+      assert(copy.stats.n == even.length.toLong && copy.stats.n < stats.n, d.name)
     }
   }
 
