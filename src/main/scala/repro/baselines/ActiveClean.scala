@@ -25,8 +25,8 @@ object ActiveClean {
       // Degenerate labeled set: fall back to flagging below-average
       // frequency cells (ActiveClean's "everything suspicious" regime).
       val n = stats.n.toDouble
-      val vc = stats.valueCounts
-      val meanVf = vc.values.sum / math.max(1.0, vc.size.toDouble) / n
+      val vc = stats.values.values
+      val meanVf = vc.map(_.values.sum).sum / math.max(1.0, vc.map(_.size).sum.toDouble) / n
       CellTable.predictions(spark, ds.tuples)((_, row) =>
         row.collect { case (a, v) if stats.valueCount(a, v) / n < meanVf => a })
     } else {

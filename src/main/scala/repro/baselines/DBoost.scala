@@ -23,14 +23,12 @@ object DBoost {
   def detect(spark: SparkSession, ds: EDataset): DataFrame = {
     val stats = ds.stats
     val n = stats.n.toDouble
-    val valCounts = stats.valueCounts
-    val distinctPerAttr = valCounts.keys.groupBy(_._1).view.mapValues(_.size).toMap
 
     // Gaussian model per numeric attribute.
     val gauss: Map[String, (Double, Double)] = ds.spec.numericAttrs.map { a =>
-      val nums = valCounts.collect { case ((`a`, v), c) =>
-        Criteria.parseNumber(v).map(x => (x * c, x * x * c, c.toLong))
-      }.flatten
+      val nums = stats.values(a).toSeq.flatMap { case (v, c) =>
+        Criteria.parseNumber(v).map(x => (x * c, x * x * c, c))
+      }
       val cnt = nums.map(_._3).sum.toDouble
       val mean = if (cnt == 0) 0.0 else nums.map(_._1).sum / cnt
       val varr = if (cnt == 0) 1.0 else math.max(1e-9, nums.map(_._2).sum / cnt - mean * mean)
@@ -42,7 +40,7 @@ object DBoost {
       if (v.isEmpty) false // missing values are not dBoost's model
       else {
         val patRare = stats.patCount(attr, 2, v) / n < PatternRarity
-        val lowCard = distinctPerAttr.getOrElse(attr, Int.MaxValue) <= MaxHistogramCardinality
+        val lowCard = stats.values(attr).size <= MaxHistogramCardinality
         val valRare = lowCard && stats.valueCount(attr, v) / n < ValueRarity
         val zOut = numericAttrs.contains(attr) && {
           val (m, s) = gauss(attr)

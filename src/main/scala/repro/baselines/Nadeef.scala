@@ -16,12 +16,10 @@ object Nadeef {
     * `FD.pairs(fds)`, as `EDataset.stats` are: each FD's lhs values that
     * co-occur with more than one rhs value.
     */
-  def fdViolations(fds: Seq[FD], stats: CellStats): Map[FD, Set[String]] = {
-    // Co-occurrence keys are distinct: a (rhs, lhs, lv) group's keys are its rhs values.
-    val nRhs = stats.coCounts.keys
-      .groupMapReduce { case (rhs, _, lhs, lv) => (rhs, lhs, lv) }(_ => 1)(_ + _)
-    fds.map(fd => fd -> nRhs.collect { case ((fd.rhs, fd.lhs, lv), k) if k > 1 => lv }.toSet).toMap
-  }
+  def fdViolations(fds: Seq[FD], stats: CellStats): Map[FD, Set[String]] =
+    fds.map(fd => fd -> stats.coCounts.getOrElse((fd.rhs, fd.lhs), Map.empty).collect {
+      case (lv, rhsValues) if rhsValues.size > 1 => lv
+    }.toSet).toMap
 
   /** The attributes of a tuple in a violated FD group: both sides of each such FD. */
   def fdFlagged(viol: Map[FD, Set[String]], row: String => String): Set[String] =

@@ -14,7 +14,7 @@ final case class FeatureOpts(
 )
 
 /** The fitted per-dataset feature statistics (Section III-B): the dataset's
-  * `CellStats` with the co-occurrences of the correlated pairs:
+  * `CellStats` with the co-occurrences of the correlated pairs added:
   *
   *  f_base(cell) = [valueFreq, vicinityFreq] ⊕ [patFreq L1..L3] ⊕ f_sem ⊕ f_cri
   *  Feat(cell)   = f_base(cell) ⊕ f_base(correlated cells of the same tuple)
@@ -38,9 +38,11 @@ final class FeatureModel(
   def patternFreq(attr: String, level: Int, v: String): Double =
     stats.patCount(attr, level, v).toDouble / stats.n
 
-  /** Mean conditional frequency of `v` given the tuple's correlated values. */
+  /** Mean conditional frequency of `v` given the tuple's correlated values
+    * (those of the attributes of its correlated blocks).
+    */
   def vicinityFreq(attr: String, v: String, row: Map[String, String]): Double = {
-    val others = corr.getOrElse(attr, Seq.empty)
+    val others = corr.getOrElse(attr, Seq.empty).take(corrBlocks)
     if (others.isEmpty) 0.0
     else {
       val fs = others.map { q =>
@@ -144,34 +146,29 @@ object FeatureModel {
 
   /** Fit the feature statistics and reason the initial criteria from a
     * random sample of the tid-sorted dirty `tuples`, the tuples of
-    * `ds.tuples` (metered LLM calls). The value and pattern counts are
-    * `ds.stats`' own maps; only the co-occurrences of the correlated pairs
-    * are counted here.
+    * `ds.tuples` (metered LLM calls). The statistics are `ds.stats` plus the
+    * co-occurrences of the correlated pairs it does not hold yet.
     */
   def fit(ds: EDataset, tuples: Array[(Long, Map[String, String])],
           corr: Map[String, Seq[String]], profile: LLMProfile, meter: TokenMeter,
           opts: FeatureOpts): FeatureModel = {
     val attrs = ds.attrs
 
-    // Co-occurrence counts only for the (attr, correlated attr) pairs the
-    // vicinity feature reads.
+    // The (attr, correlated attr) pairs the vicinity feature reads.
     val pairs: Seq[(String, String)] =
       if (!opts.useCorr) Seq.empty
       else corr.toSeq.flatMap { case (a, qs) => qs.take(opts.corrK).map(a -> _) }
 
     require(tuples.length.toLong == ds.stats.n,
             s"${tuples.length} tuples, but ${ds.name}'s stats count ${ds.stats.n}")
-    val stats = ds.stats.copy(coCounts = CellStats.coCounts(tuples, pairs))
+    val stats = ds.stats.withPairs(tuples, pairs)
     val n = stats.n
 
     // Distribution analysis (the executed "analysis functions" of Fig. 5),
-    // from each attribute's value and L2 pattern counts, grouped once.
-    val valuesOf = stats.valueCounts.toSeq.groupMap(_._1._1) { case ((_, v), c) => (v, c) }
-    val patsOf = stats.patCounts.toSeq.collect { case ((a, 2, p), c) => (a, (p, c)) }
-      .groupMap(_._1)(_._2)
+    // from each attribute's value and L2 pattern counts.
     val dists = attrs.map { a =>
-      val vc = valuesOf.getOrElse(a, Seq.empty)
-      val pc = patsOf.getOrElse(a, Seq.empty)
+      val vc = stats.values(a).toSeq
+      val pc = stats.patterns((a, 2)).toSeq
       val nums = vc.flatMap { case (v, c) => Criteria.parseNumber(v).map(_ -> c) }
       val numRange =
         if (nums.map(_._2).sum >= 0.8 * n) Some((nums.map(_._1).min, nums.map(_._1).max))

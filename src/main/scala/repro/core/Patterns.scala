@@ -20,6 +20,9 @@ object Patterns {
 
   def all(v: String): Seq[String] = Seq(l1(v), l2(v), l3(v))
 
+  /** The level-`level` pattern of `v` (L3 at any level but 1 and 2). */
+  def at(level: Int, v: String): String = runLength(v, level)
+
   /** The class of `c` at `level`: a class letter, or at L1 a symbol itself. */
   private def cls(level: Int, c: Char): Char = level match {
     case 1 => if (c.isLetterOrDigit) 'A' else c

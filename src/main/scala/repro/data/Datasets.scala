@@ -17,13 +17,14 @@ import repro.core.CellStats
   * `tuples` and `errTypes` are the driver-side forms that ZeroED and the
   * baselines read, filled by one collect of `wide` at load: every dirty tuple
   * as (tid, attr→value), sorted by tid (the form of `CellTable.tuples`), and
-  * the ground truth, the err_type of each erroneous (tid, attr) cell (the
-  * form of `SimLLM.errorTypes`).
+  * the ground truth, the err_type of each erroneous (tid, attr) cell (clean
+  * cells are absent).
   *
   * `stats` are the cell statistics of `tuples` that ZeroED's features and the
-  * statistical baselines read: n, the value and L1–L3 pattern counts, and the
-  * co-occurrences of the spec's FD pairs. `fromWide` counts them at load; a
-  * copy with other `tuples` counts its own on first use.
+  * statistical baselines read: n, each attribute's value and L1–L3 pattern
+  * counts, and the co-occurrences of the spec's FD pairs, keyed by pair.
+  * `fromWide` counts them at load; a copy with other `tuples` counts its own
+  * on first use.
   */
 final case class EDataset(spec: DatasetSpec, dirty: DataFrame,
                           clean: DataFrame, mask: DataFrame, wide: DataFrame,

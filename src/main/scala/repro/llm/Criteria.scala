@@ -29,14 +29,7 @@ final case class NotEmpty() extends Criterion {
   */
 final case class PatternIn(level: Int, allowed: Set[String]) extends Criterion {
   val name = s"pattern_l$level"
-  def eval(v: String, ctx: Map[String, String]): Boolean = {
-    val p = level match {
-      case 1 => Patterns.l1(v)
-      case 2 => Patterns.l2(v)
-      case _ => Patterns.l3(v)
-    }
-    allowed.contains(p)
-  }
+  def eval(v: String, ctx: Map[String, String]): Boolean = allowed.contains(Patterns.at(level, v))
 }
 
 /** Closed-domain membership for low-cardinality attributes. */

@@ -1,6 +1,5 @@
 package repro.llm
 
-import org.apache.spark.sql.DataFrame
 import repro.data.ErrorInjector
 import repro.util.{Rng, TokenMeter}
 
@@ -21,13 +20,6 @@ object SimLLM {
     */
   final case class Cell(tid: Long, attr: String, value: String,
                         ctx: Map[String, String], errType: String)
-
-  /** The simulator's ground truth: the error type of each erroneous cell of an
-    * error mask. Clean cells are absent; look cells up with `getOrElse(_, "")`.
-    */
-  def errorTypes(mask: DataFrame): Map[(Long, String), String] =
-    mask.where("is_error").select("tid", "attr", "err_type").collect()
-      .map(r => (r.getLong(0), r.getString(1)) -> r.getString(2)).toMap
 
   // ------------------------------------------------------------ generation
 

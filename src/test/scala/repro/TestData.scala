@@ -1,6 +1,6 @@
 package repro
 
-import org.apache.spark.sql.SparkSession
+import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.data.{Datasets, EDataset}
 
 /** Shared, lazily-generated small datasets so suites don't regenerate them.
@@ -23,4 +23,11 @@ object TestData {
   def hospitalSmall(spark: SparkSession): EDataset = get(spark, "hospital", 0.2)
   def flightsSmall(spark: SparkSession): EDataset  = get(spark, "flights", 0.1)
   def beersSmall(spark: SparkSession): EDataset    = get(spark, "beers", 0.1)
+
+  /** The oracle of the load's ground truth: the error type of each erroneous
+    * cell of an error mask, read with Spark (the form of `EDataset.errTypes`).
+    */
+  def errorTypes(mask: DataFrame): Map[(Long, String), String] =
+    mask.where("is_error").select("tid", "attr", "err_type").collect()
+      .map(r => (r.getLong(0), r.getString(1)) -> r.getString(2)).toMap
 }

@@ -229,7 +229,7 @@ class BaselinesSpec extends SparkSpec {
     val fromData = Seq(hospital, flights).map { ds =>
       val stats = CellStats.count(CellTable.tuples(ds.dirty, ds.attrs), ds.attrs, Seq.empty)
       val features = ActiveClean.featurizer(stats)
-      val cells = stats.valueCounts.keys.toSeq.map { case (a, v) => features(a, v) }
+      val cells = stats.values.toSeq.flatMap { case (a, vs) => vs.keys.map(features(a, _)) }
       (ds.name, ActiveClean.trainingRows(ds, stats), cells)
     }
     val rng = new scala.util.Random(5)
@@ -318,7 +318,7 @@ class BaselinesSpec extends SparkSpec {
     val ds = TestData.get(spark, "flights", 1.0)
     def preds(n: Int, detect: EDataset => DataFrame) =
       detect(ds.copy(tuples = CellTable.tuples(ds.dirty.repartition(n), ds.attrs),
-                     errTypes = SimLLM.errorTypes(ds.mask.repartition(n))))
+                     errTypes = TestData.errorTypes(ds.mask.repartition(n))))
         .collect().map(r => (r.getAs[Long]("tid"), r.getAs[String]("attr"),
                              r.getAs[Boolean]("pred"))).toSet
     val detectors = Seq[(String, EDataset => DataFrame)](
@@ -391,7 +391,7 @@ class BaselinesSpec extends SparkSpec {
     val r = FMED.detect(spark, flights)
     val flagged = r.pred.where(col("pred")).select("tid", "attr").collect()
       .map(p => (p.getLong(0), p.getString(1))).toSet
-    val recall = SimLLM.errorTypes(flights.mask).groupBy(_._2).map { case (t, cells) =>
+    val recall = TestData.errorTypes(flights.mask).groupBy(_._2).map { case (t, cells) =>
       t -> cells.keys.count(flagged).toDouble / cells.size
     }
     assert(recall("MV") > 0.8, s"MV ${recall("MV")}")

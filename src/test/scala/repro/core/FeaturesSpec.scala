@@ -4,7 +4,7 @@ import org.apache.spark.ml.linalg.DenseVector
 import org.apache.spark.sql.catalyst.plans.logical.Union
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec, TestData}
-import repro.data.{CellTable, CellTableSpec}
+import repro.data.{CellTable, CellTableSpec, FD}
 import repro.llm.ModelProfiles
 import repro.util.TokenMeter
 
@@ -37,7 +37,7 @@ class FeaturesSpec extends SparkSpec {
       "cells" -> cells)
     // and the model's map is exactly that aggregation
     val fromDf = vc.collect().map(r => (r.getString(0), r.getString(1)) -> r.getLong(2)).toMap
-    assert(model.stats.valueCounts == fromDf)
+    assert(FlatCellStats.of(model.stats).valueCounts == fromDf)
   }
 
   test("oracle: fitted pattern counts match a groupBy on the cell table") {
@@ -48,22 +48,25 @@ class FeaturesSpec extends SparkSpec {
       .groupBy("attr", "lvl", "pat").count()
     val fromDf = pats.collect()
       .map(r => (r.getString(0), r.getInt(1), r.getString(2)) -> r.getLong(3)).toMap
-    assert(model.stats.patCounts == fromDf)
+    assert(FlatCellStats.of(model.stats).patCounts == fromDf)
   }
 
   test("oracle: fitted co-occurrence counts match DuckDB") {
     import spark.implicits._
     val cells = CellTableSpec.cells(ds.dirty, ds.attrs)
-    val pairs = model.corr.toSeq.flatMap { case (a, qs) => qs.take(model.opts.corrK).map(a -> _) }
-      .toDF("attr", "other")
+    val corrPairs = model.corr.toSeq.flatMap { case (a, qs) => qs.take(model.opts.corrK).map(a -> _) }
+    val pairs = corrPairs.toDF("attr", "other")
     val c1 = cells.toDF("tid", "attr", "value")
     val c2 = cells.toDF("tid", "other", "otherValue")
     val co = c1.join(c2, "tid").join(pairs, Seq("attr", "other"))
       .groupBy("attr", "value", "other", "otherValue").agg(count(lit(1)).as("n"))
     val fromDf = co.collect().map(r =>
       (r.getString(0), r.getString(1), r.getString(2), r.getString(3)) -> r.getLong(4)).toMap
-    assert(model.stats.coCounts == fromDf)
-    val fitted = model.stats.coCounts.toSeq.map { case ((a, v, q, w), n) => (a, v, q, w, n) }
+    // The model also holds the dataset's FD pairs; these are the correlated ones.
+    val correlated = FlatCellStats.of(model.stats).coCounts
+      .filter { case ((a, _, q, _), _) => corrPairs.contains((a, q)) }
+    assert(correlated == fromDf)
+    val fitted = correlated.toSeq.map { case ((a, v, q, w), n) => (a, v, q, w, n) }
       .toDF("attr", "value", "other", "otherValue", "n")
     Oracle.assertEquivalent(fitted,
       """SELECT c1.attr AS attr, c1.value AS value, c2.attr AS other,
@@ -75,23 +78,34 @@ class FeaturesSpec extends SparkSpec {
   }
 
   test("fit reads the dataset's value and pattern counts and counts only the correlated pairs") {
-    assert(model.stats.valueCounts eq ds.stats.valueCounts)
-    assert(model.stats.patCounts eq ds.stats.patCounts)
+    assert(model.stats.values eq ds.stats.values)
+    assert(model.stats.patterns eq ds.stats.patterns)
     assert(model.stats.n == ds.stats.n)
     val pairs = corr.toSeq.flatMap { case (a, qs) => qs.take(model.opts.corrK).map(a -> _) }
-    assert(model.stats.coCounts == CellStats.coCounts(ds.tuples, pairs))
+    val fdPairs = FD.pairs(ds.spec.fds)
+    assert(model.stats.coCounts.keySet == pairs.toSet ++ fdPairs)
+    // Each correlated pair's map is a recount: other's value → value → tuples.
+    for ((a, q) <- pairs) {
+      val recount = ds.tuples.map(_._2).groupBy(_(q)).map { case (w, rows) =>
+        w -> rows.groupBy(_(a)).map { case (v, same) => v -> same.length.toLong }
+      }
+      assert(model.stats.coCounts((a, q)) == recount, (a, q))
+    }
+    // The FD pairs' maps are the dataset's own, not recounted.
+    fdPairs.foreach(p => assert(model.stats.coCounts(p) eq ds.stats.coCounts(p), p))
     val noCorr = FeatureModel.fit(ds, ds.tuples, corr, ModelProfiles.qwen72b, TokenMeter.local(),
                                   FeatureOpts(useCorr = false, useCriteria = false))
-    assert(noCorr.stats.coCounts.isEmpty && (noCorr.stats.valueCounts eq ds.stats.valueCounts))
+    assert(noCorr.stats.coCounts == ds.stats.coCounts && (noCorr.stats.values eq ds.stats.values))
     intercept[IllegalArgumentException](FeatureModel.fit(ds, ds.tuples.take(10), corr,
       ModelProfiles.qwen72b, TokenMeter.local(), FeatureOpts(useCriteria = false)))
   }
 
   test("distribution analysis equals a scan of each attribute's counts") {
     val n = model.stats.n
+    val flat = FlatCellStats.of(model.stats)
     for (a <- ds.attrs) {
-      val vc = model.stats.valueCounts.collect { case ((`a`, v), c) => (v, c) }.toSeq
-      val pc = model.stats.patCounts.collect { case ((`a`, 2, p), c) => (p, c) }.toSeq
+      val vc = flat.valueCounts.collect { case ((`a`, v), c) => (v, c) }.toSeq
+      val pc = flat.patCounts.collect { case ((`a`, 2, p), c) => (p, c) }.toSeq
       val nums = vc.flatMap { case (v, c) => repro.llm.Criteria.parseNumber(v).map(_ -> c) }
       val numRange =
         if (nums.map(_._2).sum >= 0.8 * n) Some((nums.map(_._1).min, nums.map(_._1).max))
@@ -110,7 +124,7 @@ class FeaturesSpec extends SparkSpec {
   }
 
   test("pattern counts cover all three levels") {
-    assert(Seq(1, 2, 3).forall(l => model.stats.patCounts.keys.exists(_._2 == l)))
+    assert(Seq(1, 2, 3).forall(l => ds.attrs.forall(a => model.stats.patterns((a, l)).nonEmpty)))
   }
 
   test("vicinity frequency is high for consistent FD pairs") {

@@ -9,7 +9,7 @@ class TrainDataSpec extends AnyFunSuite {
   private val attrs = Vector("a", "b")
   private val model = new FeatureModel(
     "t", attrs, Map("a" -> Seq("b"), "b" -> Seq("a")),
-    stats = CellStats(10L, Map(("a", "10") -> 5L), Map.empty, Map.empty),
+    stats = CellStats(10L, Map("a" -> Map("10" -> 5L)), Map.empty, Map.empty),
     criteria = Map("a" -> Seq(NotEmpty())),
     dists = attrs.map(a => a -> AttrDist(a, 10, Seq.empty, Seq.empty, None, 0)).toMap,
     opts = FeatureOpts(corrK = 1))

@@ -2,7 +2,7 @@ package repro.core
 
 import repro.{SparkSpec, TestData}
 import repro.data.{AttrSpec, CellTable, DatasetSpec, Datasets, EDataset, Num}
-import repro.llm.{ModelProfiles, SimLLM}
+import repro.llm.ModelProfiles
 import repro.util.TokenMeter
 
 /** Pipeline-level behavior beyond the smoke run (small scales for speed). */
@@ -94,7 +94,7 @@ class ZeroEDSpec extends SparkSpec {
   test("results do not depend on how the input tables are partitioned") {
     def run(n: Int) = ZeroED.run(spark,
       ds.copy(tuples = CellTable.tuples(ds.dirty.repartition(n), ds.attrs),
-              errTypes = SimLLM.errorTypes(ds.mask.repartition(n))))
+              errTypes = TestData.errorTypes(ds.mask.repartition(n))))
     val (one, six) = (run(1), run(6))
     assert(one.metrics == six.metrics, s"${one.metrics} vs ${six.metrics}")
     assert((one.inputTokens, one.outputTokens) == (six.inputTokens, six.outputTokens))

@@ -3,8 +3,7 @@ package repro.data
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec, TestData}
-import repro.core.CellStats
-import repro.llm.SimLLM
+import repro.core.{CellStats, FlatCellStats}
 
 class DatasetsSpec extends SparkSpec {
 
@@ -75,7 +74,7 @@ class DatasetsSpec extends SparkSpec {
 
   test("load reads the dirty tuples and error types, however wide is partitioned") {
     assert(ds.tuples.toSeq == CellTable.tuples(ds.dirty, ds.attrs).toSeq)
-    assert(ds.errTypes == SimLLM.errorTypes(ds.mask))
+    assert(ds.errTypes == TestData.errorTypes(ds.mask))
     assert(ds.errTypes.nonEmpty)
     val Seq(one, six) = Seq(1, 6).map(n => Datasets.fromWide(ds.spec, ds.wide.repartition(n)))
     for (d <- Seq(one, six)) {
@@ -87,13 +86,14 @@ class DatasetsSpec extends SparkSpec {
   test("stats are the counts of the tuples, with the FD pairs' co-occurrences") {
     for (d <- Seq(ds, TestData.flightsSmall(spark))) {
       val pairs = FD.pairs(d.spec.fds)
-      val counted = CellStats.count(CellTable.tuples(d.dirty, d.attrs), d.attrs, pairs)
+      val counted = FlatCellStats.count(CellTable.tuples(d.dirty, d.attrs), d.attrs, pairs)
       val stats = d.stats
+      val flat = FlatCellStats.of(stats)
       assert(stats.n == counted.n, d.name)
-      assert(stats.valueCounts == counted.valueCounts, d.name)
-      assert(stats.patCounts == counted.patCounts, d.name)
-      assert(stats.coCounts == counted.coCounts, d.name)
-      assert(stats.coCounts.keySet.map(k => (k._1, k._3)) == pairs.toSet, d.name)
+      assert(flat.valueCounts == counted.valueCounts, d.name)
+      assert(flat.patCounts == counted.patCounts, d.name)
+      assert(flat.coCounts == counted.coCounts, d.name)
+      assert(stats.coCounts.keySet == pairs.toSet, d.name)
       // A copy with other tuples counts them, not the loaded ones.
       val even = d.tuples.filter(_._1 % 2 == 0)
       val copy = d.copy(tuples = even)

@@ -131,6 +131,6 @@ class SimLLMSpec extends SparkSpec {
       (r.getAs[Long]("tid"), r.getAs[String]("attr")) -> r.getAs[String]("err_type")
     }.toMap
     assert(errors.nonEmpty && errors.values.forall(_.nonEmpty))
-    assert(SimLLM.errorTypes(mask) == errors)
+    assert(TestData.errorTypes(mask) == errors)
   }
 }
